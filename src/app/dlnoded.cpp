@@ -51,7 +51,6 @@
 #include "client/gateway.hpp"
 #include "client/ingress.hpp"
 #include "crypto/sha256.hpp"
-#include "dl/block.hpp"
 #include "dl/node.hpp"
 #include "net/tcp_env.hpp"
 #include "obs/admin.hpp"
@@ -281,6 +280,14 @@ int main(int argc, char** argv) {
     std::setvbuf(ledger, nullptr, _IOLBF, 1u << 16);
   }
 
+  // The one ledger-line formatter, shared by live delivery and boot replay.
+  auto write_ledger_line = [ledger](std::uint64_t at_epoch, core::BlockKey key,
+                                    const core::Block& block) {
+    if (ledger == nullptr) return;
+    std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %d %s\n", at_epoch,
+                 key.epoch, key.proposer, sha256(block.encode()).hex().c_str());
+  };
+
   const net::NodeAddr& me = cluster->nodes[static_cast<std::size_t>(flags.id)];
 
   // Block SIGINT/SIGTERM/SIGUSR1 before ANY thread exists (worker pool,
@@ -344,7 +351,6 @@ int main(int argc, char** argv) {
       cfg.catch_up_interval = 0.25;
     }
     node = std::make_unique<core::DlNode>(cfg, *env);
-    if (store != nullptr) node->attach_store(store.get());
 
     if (me.client_port != 0) {
       client::Gateway::Options gopt;
@@ -361,6 +367,27 @@ int main(int argc, char** argv) {
         gateway = std::make_unique<client::Gateway>(loop, *node, me.host,
                                                     me.client_port, gopt);
       }
+    }
+
+    // Replay the recovered prefix through the node's commit path: rewrite
+    // the text ledger's derived view and seed every client-facing committed
+    // ring, so a payload that committed before the crash is answered
+    // TxStatus::Committed on resubmit instead of being committed a second
+    // time. The ingress plane must exist by now; nothing has started yet.
+    if (store != nullptr) {
+      node->attach_store(store.get(), [&](std::uint64_t at_epoch,
+                                          core::BlockKey key,
+                                          const core::Block& block, double) {
+        write_ledger_line(at_epoch, key, block);
+        const auto proposer = static_cast<std::uint32_t>(key.proposer);
+        for (const core::Transaction& tx : block.txs) {
+          const Hash h = sha256(tx.payload);
+          if (gateway != nullptr) {
+            gateway->mempool().seed_committed(h, at_epoch, proposer);
+          }
+          if (shards != nullptr) shards->seed_committed(h, at_epoch, proposer);
+        }
+      });
     }
 
     // Observability: the flight recorder is live whenever anyone could ask
@@ -400,43 +427,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Replay the recovered prefix: rewrite the text ledger's derived view
-    // and seed every client-facing committed ring, so a payload that
-    // committed before the crash is answered TxStatus::Committed on
-    // resubmit instead of being committed a second time.
-    if (store != nullptr) {
-      store->for_each_committed([&](const storage::BlockRecord& r) {
-        // Reconstruct the callback's view of the block exactly as
-        // DlNode::decode_or_poison would have produced it live.
-        core::Block block;
-        block.v_array.assign(static_cast<std::size_t>(cluster->n),
-                             core::kInfObservation);
-        if (!r.bad_uploader) {
-          if (auto d = core::Block::decode(r.content, cluster->n);
-              d.has_value()) {
-            block = std::move(*d);
-            if (block.v_array.empty()) {
-              block.v_array.assign(static_cast<std::size_t>(cluster->n), 0);
-            }
-          }
-        }
-        if (ledger != nullptr) {
-          std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %" PRIu32 " %s\n",
-                       r.at_epoch, r.block_epoch, r.proposer,
-                       sha256(block.encode()).hex().c_str());
-        }
-        for (const core::Transaction& tx : block.txs) {
-          const Hash h = sha256(tx.payload);
-          if (gateway != nullptr) {
-            gateway->mempool().seed_committed(h, r.at_epoch, r.proposer);
-          }
-          if (shards != nullptr) {
-            shards->seed_committed(h, r.at_epoch, r.proposer);
-          }
-        }
-        return true;
-      });
-    }
   } catch (const std::exception& e) {
     // Distinct exit code: the launcher retries bind collisions on a fresh
     // port range (see scripts/run_local_cluster.sh).
@@ -466,11 +456,7 @@ int main(int argc, char** argv) {
 
   node->set_delivery_callback([&](std::uint64_t at_epoch, core::BlockKey key,
                                   const core::Block& block, double now) {
-    if (ledger != nullptr) {
-      std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %d %s\n", at_epoch,
-                   key.epoch, key.proposer,
-                   sha256(block.encode()).hex().c_str());
-    }
+    write_ledger_line(at_epoch, key, block);
     if (adv.kind == adversary::RealAdversary::Kind::CrashAtEpoch &&
         at_epoch >= adv.crash_epoch) {
       // Abrupt death, not graceful shutdown: no linger, no Goodbye frames,
@@ -628,8 +614,9 @@ int main(int argc, char** argv) {
                    " admitted=%" PRIu64 " committed=%" PRIu64
                    " dup=%" PRIu64 " full=%" PRIu64 " notified=%" PRIu64 "\n",
                    flags.id, shards != nullptr ? shards->shard_count() : 1,
-                   gs.submits, ms.admitted, ms.committed,
-                   ms.dropped_duplicate, ms.dropped_full, gs.commits_notified);
+                   gs.submits.load(), ms.admitted.load(), ms.committed.load(),
+                   ms.dropped_duplicate.load(), ms.dropped_full.load(),
+                   gs.commits_notified.load());
     }
   }
   return timed_out ? 1 : 0;

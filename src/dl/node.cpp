@@ -31,6 +31,12 @@ bool is_ba_kind(MsgKind k) {
   return k == MsgKind::BaBval || k == MsgKind::BaAux || k == MsgKind::BaDone;
 }
 
+// The one bad-uploader predicate: badness is a property of the committed
+// bytes, so live retrieval, catch-up and replay cannot disagree on it.
+bool is_bad_uploader(ByteView content) {
+  return equal(content, bytes_of(vid::kBadUploader));
+}
+
 }  // namespace
 
 NodeConfig NodeConfig::dispersed_ledger(int n, int f, int self) {
@@ -573,11 +579,11 @@ void DlNode::on_block_available(BlockKey key) {
   try_deliver();
 }
 
-Block DlNode::decode_or_poison(BlockKey key) const {
+Block DlNode::decode_or_poison(ByteView content) const {
   Block poison;
   poison.v_array.assign(static_cast<std::size_t>(cfg_.n), kInfObservation);
-  if (!retrievals_.has(key) || retrievals_.is_bad(key)) return poison;
-  auto block = Block::decode(retrievals_.get(key), cfg_.n);
+  if (is_bad_uploader(content)) return poison;
+  auto block = Block::decode(content, cfg_.n);
   if (!block.has_value()) return poison;
   if (block->v_array.empty()) {
     // Blocks without observations claim nothing.
@@ -611,7 +617,8 @@ void DlNode::try_deliver() {
       std::vector<std::vector<std::uint64_t>> v_arrays;
       v_arrays.reserve(st.commit_set().size());
       for (int k : st.commit_set()) {
-        v_arrays.push_back(decode_or_poison(BlockKey{e, k}).v_array);
+        const Bytes& content = retrievals_.get(BlockKey{e, k});
+        v_arrays.push_back(decode_or_poison(content).v_array);
       }
       std::vector<std::uint64_t> column(v_arrays.size());
       for (int j = 0; j < cfg_.n; ++j) {
@@ -651,15 +658,13 @@ void DlNode::try_deliver() {
 
     // Phase 2 steps 2 & 5: deliver BA-committed blocks (by node index), then
     // linked blocks (by epoch, node index).
-    for (int j : st.commit_set()) {
-      const BlockKey key{e, j};
-      if (!delivered_.contains(key)) deliver_block(e, key);
-    }
-    for (const auto& [d, j] : st.linked_blocks) {
-      const BlockKey key{d, j};
-      if (!delivered_.contains(key)) deliver_block(e, key);
-      linked_pending_.erase(key);
-    }
+    auto deliver = [&](BlockKey key) {
+      if (!delivered_.contains(key)) {
+        commit(e, key, retrievals_.get(key), Origin::kLive);
+      }
+    };
+    for (int j : st.commit_set()) deliver(BlockKey{e, j});
+    for (const auto& [d, j] : st.linked_blocks) deliver(BlockKey{d, j});
     st.linked_blocks.clear();
     st.delivered = true;
     ++stats_.delivered_epochs;
@@ -677,13 +682,20 @@ void DlNode::try_deliver() {
   }
 }
 
-void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
-  const Block block = decode_or_poison(key);
-  delivered_.insert(key);
+// The delivery rule (Fig. 17, Phase 2), for every origin. A block committed
+// by live retrieval, by coded catch-up or by replay from the local store
+// yields the same decoded block, stats, fingerprint link and stored record,
+// so a replica's ledger does not depend on how its bytes arrived. `content`
+// may alias retrieval state; it is not touched after the release below.
+void DlNode::commit(std::uint64_t at_epoch, BlockKey key, const Bytes& content,
+                    Origin origin) {
+  const bool bad = is_bad_uploader(content);
+  const Block block = decode_or_poison(content);
 
   ++stats_.delivered_blocks;
+  if (origin == Origin::kCatchUp) ++stats_.caught_up_blocks;
   if (key.epoch != at_epoch) ++stats_.delivered_linked_blocks;
-  if (retrievals_.has(key) && retrievals_.is_bad(key)) ++stats_.bad_uploader_blocks;
+  if (bad) ++stats_.bad_uploader_blocks;
   stats_.delivered_payload_bytes += block.payload_bytes();
   stats_.delivered_tx_count += block.txs.size();
   stats_.input_queue_bytes = input_queue_bytes_.load(std::memory_order_relaxed);
@@ -693,13 +705,18 @@ void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
   w.raw(fingerprint_.view());
   w.u64(key.epoch);
   w.u32(static_cast<std::uint32_t>(key.proposer));
-  if (retrievals_.has(key)) w.raw(sha256(retrievals_.get(key)).view());
+  w.raw(sha256(content).view());
   fingerprint_ = sha256(w.data());
 
-  if (store_ != nullptr && retrievals_.has(key)) {
+  if (store_ != nullptr && origin != Origin::kReplay) {
     store_->append_block({at_epoch, key.epoch,
-                          static_cast<std::uint32_t>(key.proposer),
-                          retrievals_.is_bad(key), retrievals_.get(key)});
+                          static_cast<std::uint32_t>(key.proposer), bad,
+                          content});
+  }
+
+  if (flight_ != nullptr && origin == Origin::kCatchUp) {
+    flight_->record(env_.now(), obs::FlightRecorder::Ev::kCatchUpInstall,
+                    key.epoch, static_cast<std::uint32_t>(key.proposer));
   }
 
   if (key.proposer == cfg_.self) {
@@ -707,8 +724,13 @@ void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
     if (it != own_stages_.end()) it->second.delivered = env_.now();
   }
 
-  if (on_deliver_) on_deliver_(at_epoch, key, block, env_.now());
+  // Replay feeds history to its visitor only: live-only reactions wired
+  // into the delivery callback must not fire for blocks committed pre-crash.
+  const DeliveryFn& sink = origin == Origin::kReplay ? on_replay_ : on_deliver_;
+  if (sink) sink(at_epoch, key, block, env_.now());
 
+  delivered_.insert(key);
+  linked_pending_.erase(key);
   retrievals_.release(key);
   if (key.proposer == cfg_.self) {
     own_blocks_.erase(key.epoch);
@@ -718,36 +740,22 @@ void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
 
 // --- durability --------------------------------------------------------------
 
-void DlNode::attach_store(storage::LedgerStore* store) {
+void DlNode::attach_store(storage::LedgerStore* store,
+                          const DeliveryFn& on_replay) {
   store_ = store;
-  if (store_ != nullptr) recover_from_store();
+  if (store_ == nullptr) return;
+  on_replay_ = on_replay;
+  recover_from_store();
+  on_replay_ = nullptr;
 }
 
 void DlNode::recover_from_store() {
-  deliver_next_ = store_->delivered_frontier();
   store_->for_each_committed([&](const storage::BlockRecord& r) {
-    const BlockKey key{r.block_epoch, static_cast<int>(r.proposer)};
-    delivered_.insert(key);
-
-    // Rebuild the fingerprint chain exactly as deliver_block grew it.
-    Writer w;
-    w.raw(fingerprint_.view());
-    w.u64(r.block_epoch);
-    w.u32(r.proposer);
-    if (!r.content.empty()) w.raw(sha256(r.content).view());
-    fingerprint_ = sha256(w.data());
-
-    ++stats_.delivered_blocks;
-    if (r.block_epoch != r.at_epoch) ++stats_.delivered_linked_blocks;
-    if (r.bad_uploader) {
-      ++stats_.bad_uploader_blocks;
-    } else if (auto block = Block::decode(r.content, cfg_.n);
-               block.has_value()) {
-      stats_.delivered_payload_bytes += block->payload_bytes();
-      stats_.delivered_tx_count += block->txs.size();
-    }
+    commit(r.at_epoch, BlockKey{r.block_epoch, static_cast<int>(r.proposer)},
+           r.content, Origin::kReplay);
     return true;
   });
+  deliver_next_ = store_->delivered_frontier();
   stats_.delivered_epochs = deliver_next_;
   stats_.recovered_epochs = deliver_next_;
 
@@ -1024,7 +1032,7 @@ void DlNode::try_install_catch_up() {
       CatchUpSlot& slot = ep.slots.at(i);
       const BlockKey key{slot.block_epoch, static_cast<int>(slot.proposer)};
       if (!delivered_.contains(key)) {
-        install_catch_up_block(at, key, slot.content);
+        commit(at, key, slot.content, Origin::kCatchUp);
       }
     }
     if (store_ != nullptr) store_->append_epoch_done(at);
@@ -1055,60 +1063,6 @@ void DlNode::try_install_catch_up() {
                round_.target > deliver_next_) {
       start_catch_up_round();  // window exhausted, confirmed epochs remain
     }
-  }
-}
-
-void DlNode::install_catch_up_block(std::uint64_t at_epoch, BlockKey key,
-                                    const Bytes& content) {
-  if (flight_ != nullptr) {
-    flight_->record(env_.now(), obs::FlightRecorder::Ev::kCatchUpInstall,
-                    key.epoch, static_cast<std::uint32_t>(key.proposer));
-  }
-  delivered_.insert(key);
-  const bool bad = equal(content, bytes_of(vid::kBadUploader));
-
-  ++stats_.delivered_blocks;
-  ++stats_.caught_up_blocks;
-  if (key.epoch != at_epoch) ++stats_.delivered_linked_blocks;
-  if (bad) ++stats_.bad_uploader_blocks;
-
-  // Decode exactly as decode_or_poison would for live delivery.
-  Block block;
-  block.v_array.assign(static_cast<std::size_t>(cfg_.n), kInfObservation);
-  if (!bad) {
-    if (auto decoded = Block::decode(content, cfg_.n); decoded.has_value()) {
-      block = std::move(*decoded);
-      if (block.v_array.empty()) {
-        block.v_array.assign(static_cast<std::size_t>(cfg_.n), 0);
-      }
-    }
-  }
-  stats_.delivered_payload_bytes += block.payload_bytes();
-  stats_.delivered_tx_count += block.txs.size();
-  stats_.input_queue_bytes = input_queue_bytes_.load(std::memory_order_relaxed);
-
-  // Same chain rule as deliver_block, so a caught-up node converges to the
-  // byte-identical prefix fingerprint.
-  Writer w;
-  w.raw(fingerprint_.view());
-  w.u64(key.epoch);
-  w.u32(static_cast<std::uint32_t>(key.proposer));
-  w.raw(sha256(content).view());
-  fingerprint_ = sha256(w.data());
-
-  if (store_ != nullptr) {
-    store_->append_block({at_epoch, key.epoch,
-                          static_cast<std::uint32_t>(key.proposer), bad,
-                          content});
-  }
-
-  if (on_deliver_) on_deliver_(at_epoch, key, block, env_.now());
-
-  linked_pending_.erase(key);
-  retrievals_.release(key);
-  if (key.proposer == cfg_.self) {
-    own_blocks_.erase(key.epoch);
-    own_stages_.erase(key.epoch);
   }
 }
 

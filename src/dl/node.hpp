@@ -146,8 +146,8 @@ class DlNode : public runtime::Receiver {
   // their organization's node).
   void submit(Bytes payload);
 
-  // Invoked for every delivered (executed) block, in delivery order —
-  // identical across correct nodes.
+  // Invoked for every block this run commits — by live retrieval or by
+  // coded catch-up — in delivery order, identical across correct nodes.
   using DeliveryFn =
       std::function<void(std::uint64_t epoch_delivered_in, BlockKey key,
                          const Block& block, double now)>;
@@ -181,12 +181,15 @@ class DlNode : public runtime::Receiver {
   std::uint64_t next_epoch_to_deliver() const { return deliver_next_; }
 
   // Durable storage. Call before start(): replays the store's committed
-  // prefix (delivered set, fingerprint chain, delivery/propose frontiers)
-  // so the node resumes BA from its first uncommitted epoch, and hooks
-  // delivery so every block/epoch is persisted from here on. The store must
-  // outlive the node. Recovery does NOT refire the delivery callback —
-  // consumers that need the replayed prefix read the store directly.
-  void attach_store(storage::LedgerStore* store);
+  // prefix through the same commit path as live delivery and catch-up
+  // (delivered set, fingerprint chain, delivery stats), restores the
+  // delivery/propose frontiers so the node resumes BA from its first
+  // uncommitted epoch, and persists every block/epoch delivered from here
+  // on. Each replayed block is handed, in delivery order, to `on_replay` —
+  // the replay visitor — and never to the delivery callback, so live-only
+  // reactions cannot fire for history. The store must outlive the node.
+  void attach_store(storage::LedgerStore* store,
+                    const DeliveryFn& on_replay = {});
   storage::LedgerStore* store() const { return store_; }
 
   // --- runtime::Receiver --------------------------------------------------
@@ -224,8 +227,13 @@ class DlNode : public runtime::Receiver {
   void start_retrieval(BlockKey key);
   void on_block_available(BlockKey key);
   void try_deliver();
-  void deliver_block(std::uint64_t at_epoch, BlockKey key);
-  Block decode_or_poison(BlockKey key) const;
+  Block decode_or_poison(ByteView content) const;
+
+  // The single delivery funnel: every committed block passes through
+  // commit(), whichever path brought its bytes.
+  enum class Origin { kLive, kCatchUp, kReplay };
+  void commit(std::uint64_t at_epoch, BlockKey key, const Bytes& content,
+              Origin origin);
 
   // Durability + catch-up.
   void recover_from_store();
@@ -237,8 +245,6 @@ class DlNode : public runtime::Receiver {
   void catch_up_tick();
   void start_catch_up_round();
   void try_install_catch_up();
-  void install_catch_up_block(std::uint64_t at_epoch, BlockKey key,
-                              const Bytes& content);
 
   NodeConfig cfg_;
   runtime::Env& env_;
@@ -271,6 +277,7 @@ class DlNode : public runtime::Receiver {
   std::vector<std::uint64_t> linked_scanned_;   // per-proposer scan frontier
 
   DeliveryFn on_deliver_;
+  DeliveryFn on_replay_;  // set only while attach_store replays
   NodeStats stats_;
   obs::FlightRecorder* flight_ = nullptr;
   Hash fingerprint_{};

@@ -31,7 +31,6 @@ bool RetrievalManager::finish_decode(BlockKey key, vid::DecodeResult r) {
   if (it == active_.end()) return false;  // released while decoding
   it->second.complete(std::move(r));
   done_keys_.insert(key);
-  if (it->second.bad_uploader()) bad_.insert(key);
   content_.emplace(key, it->second.result());
   active_.erase(it);
   ++completed_;

@@ -33,9 +33,8 @@ class RetrievalManager {
 
   // True if the block's bytes are available (retrieved or local).
   bool has(BlockKey key) const { return content_.contains(key); }
+  // The block bytes; the BAD_UPLOADER sentinel if the disperser was bad.
   const Bytes& get(BlockKey key) const { return content_.at(key); }
-  // The retrieval ended with the BAD_UPLOADER sentinel.
-  bool is_bad(BlockKey key) const { return bad_.contains(key); }
 
   // Begins a retrieval if not already started/available. The RequestChunk
   // broadcast is appended to `out` (envelope ids filled by the caller).
@@ -69,7 +68,6 @@ class RetrievalManager {
   int self_;
   std::map<BlockKey, vid::AvidMRetriever> active_;
   std::map<BlockKey, Bytes> content_;
-  std::set<BlockKey> bad_;
   std::set<BlockKey> done_keys_;  // everything ever completed or local
   std::uint64_t completed_ = 0;
 };

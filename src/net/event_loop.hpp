@@ -15,8 +15,7 @@
 //     at(), after(), cancel_timer(), add_fd(), mod_fd(), del_fd(), run()
 //
 //   thread-safe — callable from any thread at any time:
-//     post()  — enqueues fn into a lock-free MPSC mailbox (net::MpscQueue;
-//               the legacy mutex path compiles in with -DDL_MAILBOX_MUTEX=1)
+//     post()  — enqueues fn into a lock-free MPSC mailbox (net::MpscQueue)
 //               and kicks an eventfd so a sleeping loop wakes immediately;
 //               tasks run FIFO per posting thread on the loop thread, never
 //               inline in the caller. Wakes are collapsed: under a post
@@ -177,11 +176,10 @@ class EventLoop {
   std::uint32_t next_fd_gen_ = 1;
   std::unordered_map<int, FdEntry> fds_;
 
-  // Mailbox: net::MpscQueue (lock-free, pooled InlineTask nodes) by
-  // default; net::MutexMailbox with -DDL_MAILBOX_MUTEX=1. Drained via
-  // consume(), which runs tasks straight out of their nodes — no batch
-  // vector, no per-task move.
-  LoopMailbox mailbox_;
+  // Mailbox: lock-free, pooled InlineTask nodes. Drained via consume(),
+  // which runs tasks straight out of their nodes — no batch vector, no
+  // per-task move.
+  MpscQueue mailbox_;
   std::atomic<bool> wake_pending_{false};
 
   LoopStats stats_;

@@ -1,4 +1,4 @@
-// Lock-free MPSC mailbox for EventLoop::post — plus the legacy mutex path.
+// Lock-free MPSC mailbox for EventLoop::post.
 //
 // MpscQueue is a Vyukov-style intrusive multi-producer/single-consumer
 // queue: producers link nodes with one atomic exchange on the tail plus one
@@ -20,18 +20,11 @@
 //
 // Teardown: a destroyed queue destroys (does not run) still-queued tasks,
 // matching the old behavior of dropping a posted_ vector on loop teardown.
-//
-// MutexMailbox is the pre-existing mutex + vector path, kept as a
-// compile-time fallback for EventLoop (-DDL_MAILBOX_MUTEX=1) and as the
-// baseline that bench/micro_loop.cpp compares against. It stores the same
-// InlineTask type (posts may capture move-only pooled buffers); what
-// differs is the lock on every push.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -140,56 +133,5 @@ class MpscQueue {
   alignas(64) Node* head_;  // consumer-owned
   Node stub_;
 };
-
-// The legacy mailbox: every push takes a mutex. EventLoop uses it only when
-// built with -DDL_MAILBOX_MUTEX=1.
-class MutexMailbox {
- public:
-  using Task = sim::InlineTask;
-  using Batch = std::vector<Task>;
-
-  template <typename F>
-  void push(F&& fn) {
-    std::lock_guard<std::mutex> lk(mu_);
-    q_.emplace_back(std::forward<F>(fn));
-  }
-
-  void drain(Batch& out) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (out.empty()) {
-      out.swap(q_);
-    } else {
-      for (Task& t : q_) out.push_back(std::move(t));
-      q_.clear();
-    }
-  }
-
-  // Same contract as MpscQueue::consume(): one generation per call (the
-  // vector swap is the snapshot), tasks posted by these tasks run next pass.
-  std::size_t consume() {
-    Batch batch;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      batch.swap(q_);
-    }
-    for (Task& t : batch) t();
-    return batch.size();
-  }
-
-  bool maybe_nonempty() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return !q_.empty();
-  }
-
- private:
-  mutable std::mutex mu_;
-  Batch q_;
-};
-
-#if defined(DL_MAILBOX_MUTEX)
-using LoopMailbox = MutexMailbox;
-#else
-using LoopMailbox = MpscQueue;
-#endif
 
 }  // namespace dl::net

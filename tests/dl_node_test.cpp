@@ -9,14 +9,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
+#include <map>
 #include <memory>
 
 #include "adversary/adversary.hpp"
+#include "common/serial.hpp"
 #include "dl/node.hpp"
 #include "hb/hb_node.hpp"
+#include "merkle/merkle_tree.hpp"
 #include "runtime/sim_env.hpp"
 #include "storage/ledger_store.hpp"
+#include "vid/avid_m.hpp"
 
 namespace dl::core {
 namespace {
@@ -578,6 +583,278 @@ TEST(DlNodeStore, LateJoinerCatchesUpViaCodedChunks) {
   Cluster::expect_prefix_consistent(c.logs[0], c.logs[3]);
   // Everything it pulled is in its own store, ready to serve others.
   EXPECT_EQ(stores[3]->delivered_frontier(), js.delivered_epochs);
+}
+
+// --- one delivery funnel: live, catch-up and replay commit alike -----------
+
+// A Byzantine disperser's Env: forwards everything to the node's SimEnv but
+// swaps the node's own VidChunk dispersal at chosen epochs, so the honest
+// replicas commit exactly the bytes (or the inconsistent chunk set) a test
+// picks for that slot.
+class DispersalRewriter final : public runtime::Env {
+ public:
+  DispersalRewriter(runtime::SimEnv& inner, vid::Params p)
+      : inner_(inner), p_(p) {}
+
+  // Disperse `content` as a valid codeword in place of the epoch-e block.
+  void replace(std::uint64_t e, ByteView content) {
+    chunks_[e] = vid::avid_m_disperse(p_, content);
+  }
+  // Disperse chunks with valid proofs under one root that are not a
+  // codeword: every correct retriever decodes BAD_UPLOADER.
+  void make_inconsistent(std::uint64_t e) {
+    std::vector<Bytes> garbage;
+    for (int i = 0; i < p_.n; ++i) {
+      garbage.push_back(random_bytes(256, 0xBAD0 + static_cast<std::uint64_t>(i)));
+    }
+    const MerkleTree tree(garbage);
+    auto& out = chunks_[e];
+    for (int i = 0; i < p_.n; ++i) {
+      out.push_back({tree.root(), garbage[static_cast<std::size_t>(i)],
+                     tree.prove(static_cast<std::uint32_t>(i))});
+    }
+  }
+
+  int local_id() const override { return inner_.local_id(); }
+  int cluster_size() const override { return inner_.cluster_size(); }
+  double now() const override { return inner_.now(); }
+  runtime::TimerId at(double t, std::function<void()> fn) override {
+    return inner_.at(t, std::move(fn));
+  }
+  runtime::TimerId after(double d, std::function<void()> fn) override {
+    return inner_.after(d, std::move(fn));
+  }
+  bool cancel_timer(runtime::TimerId id) override {
+    return inner_.cancel_timer(id);
+  }
+  void send(int to, const Envelope& env,
+            const runtime::SendOpts& opts) override {
+    auto it = chunks_.find(env.epoch);
+    if (env.kind != MsgKind::VidChunk || it == chunks_.end()) {
+      inner_.send(to, env, opts);
+      return;
+    }
+    Envelope swapped = env;
+    swapped.body = it->second[static_cast<std::size_t>(to)].encode();
+    inner_.send(to, swapped, opts);
+  }
+  void broadcast(const Envelope& env, const runtime::SendOpts& opts) override {
+    inner_.broadcast(env, opts);
+  }
+  void cancel_send(std::uint64_t tag) override { inner_.cancel_send(tag); }
+  void defer(std::function<void()> fn) override { inner_.defer(std::move(fn)); }
+  void offload(std::function<void()> work, std::function<void()> done) override {
+    inner_.offload(std::move(work), std::move(done));
+  }
+
+ private:
+  runtime::SimEnv& inner_;
+  vid::Params p_;
+  std::map<std::uint64_t, std::vector<vid::ChunkMsg>> chunks_;
+};
+
+// What one committed block looks like from outside the node: the ledger
+// line (at_epoch, key, sha256 of the decoded block), the tx hashes a
+// gateway would seed, and the node's fingerprint and cumulative delivery
+// stats right after it.
+struct CommitLine {
+  std::uint64_t at_epoch = 0;
+  std::uint64_t block_epoch = 0;
+  int proposer = 0;
+  Hash block_hash;
+  Hash tx_hashes;
+  Hash fingerprint;
+  std::uint64_t blocks = 0, linked = 0, payload = 0, txs = 0, bad = 0;
+
+  bool operator==(const CommitLine&) const = default;
+};
+
+struct CommitLog {
+  std::vector<CommitLine> lines;
+  std::vector<bool> caught_up;  // per line: committed by coded catch-up
+  std::uint64_t caught_up_before = 0;
+
+  // Usable both as the delivery callback and as the replay visitor.
+  DlNode::DeliveryFn recorder(const DlNode* node) {
+    return [this, node](std::uint64_t at, BlockKey key, const Block& b,
+                        double) {
+      Writer seeds;
+      for (const Transaction& tx : b.txs) seeds.raw(sha256(tx.payload).view());
+      const NodeStats& s = node->stats();
+      lines.push_back({at, key.epoch, key.proposer, sha256(b.encode()),
+                       sha256(seeds.data()), node->delivery_fingerprint(),
+                       s.delivered_blocks, s.delivered_linked_blocks,
+                       s.delivered_payload_bytes, s.delivered_tx_count,
+                       s.bad_uploader_blocks});
+      caught_up.push_back(s.caught_up_blocks > caught_up_before);
+      caught_up_before = s.caught_up_blocks;
+    };
+  }
+
+  std::size_t index_of(std::uint64_t block_epoch, int proposer) const {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].block_epoch == block_epoch && lines[i].proposer == proposer) {
+        return i;
+      }
+    }
+    return lines.size();
+  }
+};
+
+void expect_same_prefix(const CommitLog& a, const CommitLog& b,
+                        const char* what) {
+  const std::size_t m = std::min(a.lines.size(), b.lines.size());
+  for (std::size_t i = 0; i < m; ++i) {
+    ASSERT_EQ(a.lines[i], b.lines[i]) << what << ": diverge at line " << i;
+  }
+}
+
+TEST(DlNodeStore, LiveCatchUpAndReplayCommitIdentically) {
+  // Phase 1 commits one sequence LIVE at nodes 0..2 (each with a store).
+  // Node 3 is a slow Byzantine disperser whose epoch-2/3/4 dispersals are
+  // swapped for, respectively: a valid codeword of the literal sentinel
+  // bytes "BAD_UPLOADER", a valid codeword of bytes that do not decode as
+  // a block, and an inconsistent chunk set (AVID-M BAD_UPLOADER). Its
+  // slowness makes some of its blocks miss BA and arrive by linking.
+  // Phase 2 restarts nodes 1 and 2 from their stores (REPLAY) and brings
+  // node 0 back with an empty store, so it pulls the same sequence by
+  // coded CATCH-UP, own blocks included. The three origins must agree on
+  // every ledger line, seeded tx hash, fingerprint and delivery stat.
+  const int n = 4, f = 1;
+  const std::uint64_t kSentinel = 2, kUndecodable = 3, kInconsistent = 4;
+  StoreDirs dirs;
+  sim::NetworkConfig net = sim::NetworkConfig::uniform(n, 0.02, 2e6);
+  net.egress[3] = sim::Trace::constant(0.3e6);
+  net.ingress[3] = sim::Trace::constant(0.3e6);
+
+  std::array<CommitLog, 3> live;
+  {
+    std::vector<std::unique_ptr<storage::LedgerStore>> stores;
+    Cluster c(net);
+    for (int i = 0; i < 3; ++i) {
+      DlNode* node = c.add_node(
+          with_small_blocks(NodeConfig::dispersed_ledger(n, f, i)));
+      node->set_delivery_callback(
+          live[static_cast<std::size_t>(i)].recorder(node));
+      stores.push_back(open_store(dirs.node_dir(i)));
+      ASSERT_NE(stores.back(), nullptr);
+      node->attach_store(stores.back().get());
+    }
+    c.envs.push_back(std::make_unique<runtime::SimEnv>(c.sim, 3));
+    DispersalRewriter byz(*c.envs.back(), vid::Params{n, f});
+    byz.replace(kSentinel, bytes_of(vid::kBadUploader));
+    byz.replace(kUndecodable, random_bytes(300, 0xD0D0));
+    byz.make_inconsistent(kInconsistent);
+    auto byz_cfg = with_small_blocks(NodeConfig::dispersed_ledger(n, f, 3));
+    byz_cfg.backlog_tx_bytes = 250;  // full blocks over a slow link
+    DlNode byz_node(byz_cfg, byz);
+    c.envs.back()->attach(byz_node);
+    for (int i = 0; i < 3; ++i) {
+      for (int k = 0; k < 40; ++k) {
+        DlNode* node = c.nodes[static_cast<std::size_t>(i)];
+        c.sim.queue().at(0.05 * k, [node, i, k] {
+          node->submit(
+              random_bytes(2000, static_cast<std::uint64_t>(i * 1000 + k)));
+        });
+      }
+    }
+    c.sim.run_until(12.0);
+  }
+  for (const CommitLog& log : live) {
+    expect_same_prefix(live[0], log, "live vs live");
+  }
+
+  // Phase 2: replay at nodes 1 and 2, catch-up at node 0.
+  std::array<CommitLog, 3> replayed;
+  std::array<NodeStats, 3> replayed_stats{};
+  std::array<Hash, 3> replayed_fp{};
+  CommitLog caught;
+  {
+    std::vector<std::unique_ptr<storage::LedgerStore>> stores(3);
+    Cluster c(net);
+    for (int i = 0; i < 3; ++i) {
+      auto cfg = with_small_blocks(NodeConfig::dispersed_ledger(n, f, i));
+      if (i == 0) cfg.catch_up_interval = 0.2;
+      DlNode* node = c.add_node(cfg);
+      const std::string dir =
+          i == 0 ? dirs.root + "/n0-rejoin" : dirs.node_dir(i);
+      stores[static_cast<std::size_t>(i)] = open_store(dir);
+      ASSERT_NE(stores[static_cast<std::size_t>(i)], nullptr);
+      auto& log = replayed[static_cast<std::size_t>(i)];
+      node->attach_store(stores[static_cast<std::size_t>(i)].get(),
+                         log.recorder(node));
+      replayed_stats[static_cast<std::size_t>(i)] = node->stats();
+      replayed_fp[static_cast<std::size_t>(i)] = node->delivery_fingerprint();
+      if (i == 0) node->set_delivery_callback(caught.recorder(node));
+    }
+    c.add_crashed(3);
+    c.sim.run_until(12.0);
+  }
+
+  // Replay reproduces each node's live sequence exactly, and its stats.
+  for (int i = 1; i < 3; ++i) {
+    const CommitLog& lv = live[static_cast<std::size_t>(i)];
+    const CommitLog& rp = replayed[static_cast<std::size_t>(i)];
+    ASSERT_FALSE(lv.lines.empty());
+    EXPECT_EQ(rp.lines, lv.lines) << "node " << i;
+    const NodeStats& s = replayed_stats[static_cast<std::size_t>(i)];
+    const CommitLine& last = lv.lines.back();
+    EXPECT_EQ(replayed_fp[static_cast<std::size_t>(i)], last.fingerprint);
+    EXPECT_EQ(s.delivered_blocks, last.blocks);
+    EXPECT_EQ(s.delivered_linked_blocks, last.linked);
+    EXPECT_EQ(s.delivered_payload_bytes, last.payload);
+    EXPECT_EQ(s.delivered_tx_count, last.txs);
+    EXPECT_EQ(s.bad_uploader_blocks, last.bad);
+  }
+  EXPECT_TRUE(replayed[0].lines.empty());  // node 0 rejoined with no store
+
+  // Catch-up reproduces the same sequence, line for line.
+  std::size_t caught_lines = 0;
+  while (caught_lines < caught.caught_up.size() &&
+         caught.caught_up[caught_lines]) {
+    ++caught_lines;
+  }
+  ASSERT_GT(caught_lines, 0u);
+  expect_same_prefix(live[1], caught, "live vs catch-up");
+  expect_same_prefix(live[0], caught, "live (own node) vs catch-up");
+
+  // ...and what catch-up stored replays to the same lines again.
+  {
+    auto store = open_store(dirs.root + "/n0-rejoin");
+    ASSERT_NE(store, nullptr);
+    sim::Simulator sim3(net);
+    runtime::SimEnv env3(sim3, 0);
+    DlNode node(with_small_blocks(NodeConfig::dispersed_ledger(n, f, 0)), env3);
+    CommitLog rp;
+    node.attach_store(store.get(), rp.recorder(&node));
+    EXPECT_EQ(rp.lines, caught.lines);
+  }
+
+  // The compared sequence holds every kind of block, all inside the stretch
+  // node 0 pulled by catch-up.
+  const CommitLog& ref = live[1];
+  Block poison;
+  poison.v_array.assign(static_cast<std::size_t>(n), kInfObservation);
+  const Hash poison_hash = sha256(poison.encode());
+  auto delta = [&](std::size_t i, std::uint64_t CommitLine::*field) {
+    return ref.lines[i].*field - (i == 0 ? 0 : ref.lines[i - 1].*field);
+  };
+  for (std::uint64_t e : {kSentinel, kUndecodable, kInconsistent}) {
+    const std::size_t i = ref.index_of(e, 3);
+    ASSERT_LT(i, caught_lines) << "epoch " << e;
+    EXPECT_EQ(ref.lines[i].block_hash, poison_hash) << "epoch " << e;
+    EXPECT_EQ(delta(i, &CommitLine::payload), 0u);
+    // Sentinel bytes are bad-uploader bytes, whichever path brought them.
+    EXPECT_EQ(delta(i, &CommitLine::bad), e == kUndecodable ? 0u : 1u)
+        << "epoch " << e;
+  }
+  bool linked = false, own = false;
+  for (std::size_t i = 0; i < caught_lines; ++i) {
+    linked |= ref.lines[i].at_epoch != ref.lines[i].block_epoch;
+    own |= ref.lines[i].proposer == 0 && delta(i, &CommitLine::txs) > 0;
+  }
+  EXPECT_TRUE(linked);
+  EXPECT_TRUE(own);
 }
 
 }  // namespace

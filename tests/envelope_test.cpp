@@ -114,7 +114,6 @@ TEST(RetrievalManager, CompletesAfterKChunks) {
   // The decode runs wherever the caller wants; install the outcome.
   EXPECT_TRUE(rm.finish_decode(key, vid::avid_m_run_decode(rm.decode_job(key))));
   EXPECT_TRUE(rm.has(key));
-  EXPECT_FALSE(rm.is_bad(key));
   EXPECT_EQ(rm.get(key), block);
   EXPECT_EQ(rm.completed_retrievals(), 1u);
   // Late chunks are ignored (retrieval gone from the active set).
