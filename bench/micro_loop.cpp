@@ -1,9 +1,8 @@
 // micro_loop — event-loop mailbox and wake-path microbenchmarks.
 //
 // The replica data plane leans on EventLoop::post for every cross-thread
-// hop: ingress shards handing admitted batches to the node loop, transport
-// loops batching received frames home, the node loop fanning broadcasts out
-// to the transport tier. This bench pins the primitive costs behind those
+// hop: transport loops batching received frames home, and the node loop
+// fanning broadcasts out to the transport tier. This bench pins the primitive costs behind those
 // hops:
 //
 //   post_spsc_{mutex,mpsc}   one producer thread pushing closures through the

@@ -24,8 +24,6 @@
 #   -c TXCOUNT    transactions dl_loadgen submits (default 2000; -L only)
 #   -r RATE       offered load in payload bytes/sec (default 400000; -L only)
 #   -o DIR        where BENCH_loadgen.{json,csv} are copied (-L only)
-#   -l LOOPS      client ingress loops per replica (dlnoded --loops, default 1)
-#   -w WORKERS    coding/hashing worker threads (dlnoded --workers, default 0)
 #   -N NETLOOPS   replica transport loops (dlnoded --net-loops, default 1)
 #   -S            give every replica a durable store (dlnoded --store)
 #   -F POLICY     store fsync policy: never | batch | always (default batch)
@@ -73,8 +71,6 @@ LOADGEN=0
 TXCOUNT=2000
 RATE=400000
 OUT_DIR=""
-LOOPS=1
-WORKERS=0
 NETLOOPS=1
 STORE=0
 FSYNC=batch
@@ -83,7 +79,7 @@ KEEP=0
 ADVERSARY=""
 TRACE=""
 ADMIN=0
-while getopts "n:e:b:p:t:Lc:r:o:l:w:N:SF:KkA:B:M" opt; do
+while getopts "n:e:b:p:t:Lc:r:o:N:SF:KkA:B:M" opt; do
   case "$opt" in
     n) N="$OPTARG" ;;
     e) EPOCHS="$OPTARG" ;;
@@ -94,8 +90,6 @@ while getopts "n:e:b:p:t:Lc:r:o:l:w:N:SF:KkA:B:M" opt; do
     c) TXCOUNT="$OPTARG" ;;
     r) RATE="$OPTARG" ;;
     o) OUT_DIR="$OPTARG" ;;
-    l) LOOPS="$OPTARG" ;;
-    w) WORKERS="$OPTARG" ;;
     N) NETLOOPS="$OPTARG" ;;
     S) STORE=1 ;;
     F) FSYNC="$OPTARG" ;;
@@ -175,7 +169,7 @@ pids=()
 # pre-crash log) and records its pid in pids[$1].
 launch_replica() {
   local i="$1"
-  local extra=(--loops "$LOOPS" --workers "$WORKERS" --net-loops "$NETLOOPS")
+  local extra=(--net-loops "$NETLOOPS")
   if [ "$LOADGEN" -eq 1 ]; then
     extra+=(--target-epochs 0)
   elif [ -n "$ADVERSARY" ] && [ "$i" -eq $((N - 1)) ]; then

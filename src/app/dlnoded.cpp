@@ -12,20 +12,19 @@
 // Transactions come from one of two sources:
 //
 //   - The client ingress plane (default when the config gives this node a
-//     client_port): a client::Gateway accepts dl_client/dl_loadgen
-//     connections, admits transactions through a client::Mempool, and
-//     notifies submitters when their transactions commit. With --loops 1
-//     (default) the gateway shares the node's event loop; --loops N >= 2
-//     runs N gateway shards on their own threads behind one SO_REUSEPORT
-//     listen port (client::IngressShards). See docs/DEPLOY.md.
-//
-// --workers M >= 1 adds a fixed pool of M coding threads: erasure
-// encode/decode and Merkle hashing run off the node loop (runtime::Env::
-// offload), completions post back to it. M = 0 (default) keeps all coding
-// inline on the node loop.
+//     client_port): a client::Gateway on the node's event loop accepts
+//     dl_client/dl_loadgen connections, admits transactions through a
+//     client::Mempool, and notifies submitters when their transactions
+//     commit. See docs/DEPLOY.md.
 //   - --selfdrive: the legacy synthetic generator (one transaction every
 //     --tx-interval-ms), for self-contained smoke runs with no external
 //     load source.
+//
+// Threads: client ingress, the protocol and all erasure coding / Merkle
+// hashing run on the node's one event loop; only --net-loops K >= 2 adds
+// threads (replica transport loops). --loops and --workers are still parsed
+// so old launch lines keep working, but accept only their single-loop
+// values (1 and 0).
 //
 // Lifecycle: with --target-epochs E the process exits 0 once it delivered E
 // epochs, after a --linger-seconds grace during which it keeps serving
@@ -49,7 +48,6 @@
 
 #include "adversary/adversary.hpp"
 #include "client/gateway.hpp"
-#include "client/ingress.hpp"
 #include "crypto/sha256.hpp"
 #include "dl/node.hpp"
 #include "net/tcp_env.hpp"
@@ -57,7 +55,6 @@
 #include "obs/exporter.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
-#include "runtime/worker_pool.hpp"
 #include "storage/ledger_store.hpp"
 
 namespace {
@@ -79,8 +76,8 @@ struct Flags {
   double linger = 3.0;
   double max_seconds = 120.0;
   bool quiet = false;
-  int loops = 1;      // gateway ingress shards (>= 2: own threads)
-  int workers = 0;    // coding worker pool threads (0: inline)
+  int loops = 1;      // removed tier: only 1 is accepted
+  int workers = 0;    // removed tier: only 0 is accepted
   int net_loops = 1;  // replica transport loops (>= 2: own threads)
   std::string adversary;  // deviation spec; empty = honest
   int admin_port = -1;     // <0 = no admin endpoint; 0 = ephemeral port
@@ -101,10 +98,10 @@ void usage(const char* argv0) {
       "  --propose-delay-ms M   proposal pacing delay (default 20)\n"
       "  --propose-size B       proposal pacing size trigger (default 32768)\n"
       "  --max-block-bytes B    block size cap (default 262144)\n"
-      "  --loops N              client ingress event loops (default 1; >=2 shards the\n"
-      "                         client port across N threads via SO_REUSEPORT)\n"
-      "  --workers M            coding worker threads for erasure/Merkle work\n"
-      "                         (default 0: inline on the node loop)\n"
+      "  --loops 1              accepted for old launch lines; ingress always runs\n"
+      "                         on the node loop (other values: error)\n"
+      "  --workers 0            accepted for old launch lines; coding always runs\n"
+      "                         on the node loop (other values: error)\n"
       "  --net-loops K          replica transport event loops (default 1; >=2\n"
       "                         pins each peer connection to loop id%%K)\n"
       "  --ledger FILE          write the committed-ledger log here\n"
@@ -189,8 +186,16 @@ bool parse_flags(int argc, char** argv, Flags& f) {
       return false;
     }
   }
-  if (f.config.empty() || f.id < 0 || f.loops < 1 || f.workers < 0 ||
-      f.net_loops < 1 || f.admin_port > 65535 || f.stats_interval < 0 ||
+  if (f.loops != 1 || f.workers != 0) {
+    std::fprintf(stderr,
+                 "%s: --loops %d --workers %d: the ingress-shard and coding-"
+                 "pool tiers were removed; only --loops 1 --workers 0 are "
+                 "accepted (use --net-loops for transport threads)\n",
+                 argv[0], f.loops, f.workers);
+    return false;
+  }
+  if (f.config.empty() || f.id < 0 || f.net_loops < 1 ||
+      f.admin_port > 65535 || f.stats_interval < 0 ||
       !dl::storage::parse_fsync_policy(f.fsync).has_value()) {
     usage(argv[0]);
     return false;
@@ -239,9 +244,8 @@ int main(int argc, char** argv) {
   }
 
   // Durable store first: what it recovered decides how the text ledger is
-  // opened. Declared before env/node/pool so it is destroyed LAST — the
-  // node holds a raw pointer to it, and the worker pool's destructor runs
-  // still-queued drain closures that dereference it.
+  // opened. Declared before env/node so it is destroyed LAST — the node
+  // holds a raw pointer to it.
   std::unique_ptr<storage::LedgerStore> store;
   if (!flags.store_dir.empty()) {
     storage::StoreOptions sopt;
@@ -290,9 +294,9 @@ int main(int argc, char** argv) {
 
   const net::NodeAddr& me = cluster->nodes[static_cast<std::size_t>(flags.id)];
 
-  // Block SIGINT/SIGTERM/SIGUSR1 before ANY thread exists (worker pool,
-  // ingress shards): spawned threads inherit the mask, so a signal can only
-  // ever be consumed through the signalfd below — never delivered to a pool
+  // Block SIGINT/SIGTERM/SIGUSR1 before ANY thread exists (transport
+  // loops): spawned threads inherit the mask, so a signal can only ever be
+  // consumed through the signalfd below — never delivered to a transport
   // thread where the default disposition would kill the process
   // mid-ledger-line. SIGUSR1 asks for a metrics snapshot, not shutdown.
   sigset_t sigmask;
@@ -305,14 +309,7 @@ int main(int argc, char** argv) {
   net::EventLoop loop;
   std::unique_ptr<net::TcpEnv> env;
   std::unique_ptr<core::DlNode> node;
-  // Declared after env/node, so it is destroyed FIRST: the WorkerPool
-  // destructor runs every still-queued job, and those closures capture the
-  // node (disperse work) and the env (completion trampoline) — both must
-  // still be alive. The completions they post land in the loop mailbox
-  // (declared first, destroyed last) and are simply dropped with it.
-  std::unique_ptr<runtime::WorkerPool> pool;
-  std::unique_ptr<client::Gateway> gateway;      // --loops 1
-  std::unique_ptr<client::IngressShards> shards; // --loops >= 2
+  std::unique_ptr<client::Gateway> gateway;  // null without a client_port
   // Observability plane. The registry outlives the admin server and the
   // exporter; the exporter's sample hook dereferences node/env/store, all of
   // which are destroyed after these (declared above).
@@ -330,10 +327,6 @@ int main(int argc, char** argv) {
       eopt.slow_drip_bytes_per_sec = adv.drip_bytes_per_sec;
     }
     env = std::make_unique<net::TcpEnv>(loop, *cluster, flags.id, eopt);
-    if (flags.workers > 0) {
-      pool = std::make_unique<runtime::WorkerPool>(flags.workers);
-      env->set_worker_pool(pool.get());
-    }
 
     core::NodeConfig cfg =
         core::NodeConfig::dispersed_ledger(cluster->n, cluster->f, flags.id);
@@ -357,35 +350,25 @@ int main(int argc, char** argv) {
       // A transaction must fit into a block next to its header.
       gopt.mempool.max_tx_bytes =
           std::min(gopt.mempool.max_tx_bytes, flags.max_block_bytes / 2);
-      if (flags.loops >= 2) {
-        client::IngressShards::Options sopt;
-        sopt.shards = flags.loops;
-        sopt.gateway = gopt;
-        shards = std::make_unique<client::IngressShards>(
-            *node, *env, me.host, me.client_port, sopt);
-      } else {
-        gateway = std::make_unique<client::Gateway>(loop, *node, me.host,
-                                                    me.client_port, gopt);
-      }
+      gateway = std::make_unique<client::Gateway>(loop, *node, me.host,
+                                                  me.client_port, gopt);
     }
 
     // Replay the recovered prefix through the node's commit path: rewrite
-    // the text ledger's derived view and seed every client-facing committed
-    // ring, so a payload that committed before the crash is answered
+    // the text ledger's derived view and seed the gateway's committed ring,
+    // so a payload that committed before the crash is answered
     // TxStatus::Committed on resubmit instead of being committed a second
-    // time. The ingress plane must exist by now; nothing has started yet.
+    // time. The gateway must exist by now; nothing has started yet.
     if (store != nullptr) {
       node->attach_store(store.get(), [&](std::uint64_t at_epoch,
                                           core::BlockKey key,
                                           const core::Block& block, double) {
         write_ledger_line(at_epoch, key, block);
+        if (gateway == nullptr) return;
         const auto proposer = static_cast<std::uint32_t>(key.proposer);
         for (const core::Transaction& tx : block.txs) {
-          const Hash h = sha256(tx.payload);
-          if (gateway != nullptr) {
-            gateway->mempool().seed_committed(h, at_epoch, proposer);
-          }
-          if (shards != nullptr) shards->seed_committed(h, at_epoch, proposer);
+          gateway->mempool().seed_committed(sha256(tx.payload), at_epoch,
+                                            proposer);
         }
       });
     }
@@ -403,7 +386,6 @@ int main(int argc, char** argv) {
       es.node = node.get();
       es.env = env.get();
       es.home_loop = &loop;
-      es.shards = shards.get();
       es.gateway = gateway.get();
       es.store = store.get();
       exporter = std::make_unique<obs::NodeExporter>(registry, es);
@@ -469,9 +451,6 @@ int main(int argc, char** argv) {
     if (gateway != nullptr) {
       gateway->on_block_delivered(at_epoch, key, block, now);
     }
-    if (shards != nullptr) {
-      shards->on_block_delivered(at_epoch, key, block, now);
-    }
     if (flags.target_epochs != 0 &&
         node->stats().delivered_epochs >= flags.target_epochs) {
       finish("target epochs delivered");
@@ -519,7 +498,6 @@ int main(int argc, char** argv) {
                      flags.id);
       }
       if (gateway != nullptr) gateway->shutdown();
-      if (shards != nullptr) shards->shutdown();
       if (ledger != nullptr) std::fflush(ledger);
       loop.stop();
     });
@@ -553,15 +531,11 @@ int main(int argc, char** argv) {
 
   env->start(*node);
   if (gateway != nullptr) gateway->start();
-  if (shards != nullptr) shards->start();
   loop.run();
 
-  // Teardown order: ingress first (shard threads join; no new submissions
-  // or commit fan-outs), then — by reverse declaration order — the worker
-  // pool (its destructor drains pending jobs while node/env/loop are all
-  // still alive), then the node and env with the loop stopped.
+  // Ingress first (no new submissions or commit notifications), then — by
+  // reverse declaration order — the node and env with the loop stopped.
   if (gateway != nullptr) gateway->shutdown();
-  if (shards != nullptr) shards->shutdown();
   if (sfd >= 0) {
     loop.del_fd(sfd);
     close(sfd);
@@ -603,20 +577,16 @@ int main(int argc, char** argv) {
                    ss.appended_records, ss.appended_bytes, ss.drains,
                    ss.fsyncs, store->segment_count());
     }
-    if (gateway != nullptr || shards != nullptr) {
-      const client::Gateway::Stats gs =
-          shards != nullptr ? shards->aggregate_stats() : gateway->stats();
-      const client::MempoolStats ms = shards != nullptr
-                                          ? shards->aggregate_mempool_stats()
-                                          : gateway->mempool().stats();
+    if (gateway != nullptr) {
+      const client::Gateway::Stats& gs = gateway->stats();
+      const client::MempoolStats& ms = gateway->mempool().stats();
       std::fprintf(stderr,
-                   "dlnoded[%d]: ingress: loops=%d submits=%" PRIu64
+                   "dlnoded[%d]: ingress: submits=%" PRIu64
                    " admitted=%" PRIu64 " committed=%" PRIu64
                    " dup=%" PRIu64 " full=%" PRIu64 " notified=%" PRIu64 "\n",
-                   flags.id, shards != nullptr ? shards->shard_count() : 1,
-                   gs.submits.load(), ms.admitted.load(), ms.committed.load(),
-                   ms.dropped_duplicate.load(), ms.dropped_full.load(),
-                   gs.commits_notified.load());
+                   flags.id, gs.submits.load(), ms.admitted.load(),
+                   ms.committed.load(), ms.dropped_duplicate.load(),
+                   ms.dropped_full.load(), gs.commits_notified.load());
     }
   }
   return timed_out ? 1 : 0;

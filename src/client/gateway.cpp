@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "net/socket_util.hpp"
 
@@ -24,18 +25,6 @@ constexpr std::size_t kMaxPendingAccepts = 64;
 // A ClientHello is 21 bytes; more than this without one is not a client.
 constexpr std::size_t kMaxPreAuthBytes = 4096;
 
-// Single-loop wiring: the node shares the gateway's loop, so the sink is a
-// direct call and the gauge is the same-thread read of the atomic.
-Gateway::Sink make_node_sink(core::DlNode& node) {
-  Gateway::Sink s;
-  s.submit = [&node](std::vector<Bytes> batch) {
-    for (Bytes& payload : batch) node.submit(std::move(payload));
-  };
-  s.queue_bytes = [&node] { return node.input_queue_bytes(); };
-  s.max_block_bytes = node.config().max_block_bytes;
-  return s;
-}
-
 // Clamped microseconds between two checkpoints; 0 when either is unset.
 std::uint32_t stage_us(double from, double to) {
   if (from <= 0 || to <= from) return 0;
@@ -44,13 +33,14 @@ std::uint32_t stage_us(double from, double to) {
 }
 
 net::StageLatencies stage_breakdown(const CommitRecord& rec,
-                                    const CommitBatch& batch, double now) {
+                                    const core::OwnBlockStages& stages,
+                                    double delivered_at, double now) {
   net::StageLatencies s;
-  s.ingress_us = stage_us(rec.submit_time, batch.stages.proposed);
-  s.disperse_us = stage_us(batch.stages.proposed, batch.stages.vid_done);
-  s.ba_us = stage_us(batch.stages.vid_done, batch.stages.ba_done);
-  s.retrieve_us = stage_us(batch.stages.ba_done, batch.stages.delivered);
-  s.notify_us = stage_us(batch.delivered_at, now);
+  s.ingress_us = stage_us(rec.submit_time, stages.proposed);
+  s.disperse_us = stage_us(stages.proposed, stages.vid_done);
+  s.ba_us = stage_us(stages.vid_done, stages.ba_done);
+  s.retrieve_us = stage_us(stages.ba_done, stages.delivered);
+  s.notify_us = stage_us(delivered_at, now);
   return s;
 }
 
@@ -58,25 +48,14 @@ net::StageLatencies stage_breakdown(const CommitRecord& rec,
 
 Gateway::Gateway(net::EventLoop& loop, core::DlNode& node,
                  const std::string& host, std::uint16_t port, Options opt)
-    : Gateway(loop, make_node_sink(node), host, port, opt) {
-  node_ = &node;
-}
-
-Gateway::Gateway(net::EventLoop& loop, Sink sink, const std::string& host,
-                 std::uint16_t port, Options opt)
-    : loop_(loop), sink_(std::move(sink)), opt_(opt), mempool_(opt.mempool) {
+    : loop_(loop), node_(node), opt_(opt), mempool_(opt.mempool) {
   watermark_ = opt_.node_queue_watermark != 0
                    ? opt_.node_queue_watermark
-                   : 2 * sink_.max_block_bytes;
+                   : 2 * node_.config().max_block_bytes;
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) throw std::runtime_error("Gateway: socket() failed");
   int one = 1;
   setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (opt_.reuse_port) {
-    // Shard mode: every shard binds the same port; the kernel load-balances
-    // incoming connections across the listeners.
-    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-  }
   sockaddr_in addr{};
   if (!resolve_ipv4(host, port, addr)) {
     close(listen_fd_);
@@ -109,19 +88,11 @@ void Gateway::start() {
 // --- mempool → node ----------------------------------------------------------
 
 void Gateway::drain_into_node() {
-  // One sink call per drain: on a shared loop the batch is submitted
-  // in place, in shard mode it becomes ONE cross-thread post instead of one
-  // per transaction. `batch_bytes` accounts for what this drain already
-  // claimed, since a posted batch is not yet visible in the gauge.
-  std::size_t batch_bytes = 0;
-  std::vector<Bytes> batch;
-  while (sink_.queue_bytes() + batch_bytes < watermark_) {
+  while (node_.input_queue_bytes() < watermark_) {
     auto payload = mempool_.pop();
     if (!payload.has_value()) break;
-    batch_bytes += payload->size();
-    batch.push_back(std::move(*payload));
+    node_.submit(std::move(*payload));
   }
-  if (!batch.empty()) sink_.submit(std::move(batch));
 }
 
 void Gateway::pump() {
@@ -141,31 +112,16 @@ void Gateway::on_block_delivered(std::uint64_t at_epoch,
     drain_into_node();
     return;
   }
-  CommitBatch batch;
-  batch.at_epoch = at_epoch;
-  batch.proposer = static_cast<std::uint32_t>(key.proposer);
-  batch.delivered_at = now;
-  if (node_ != nullptr && key.proposer == node_->config().self) {
-    if (const auto* st = node_->own_block_stages(key.epoch)) batch.stages = *st;
+  const auto proposer = static_cast<std::uint32_t>(key.proposer);
+  core::OwnBlockStages stages;  // zeros unless this is our own proposal
+  if (key.proposer == node_.config().self) {
+    if (const auto* st = node_.own_block_stages(key.epoch)) stages = *st;
   }
-  auto hashes = std::make_shared<std::vector<Hash>>();
-  hashes->reserve(block.txs.size());
-  for (const core::Transaction& tx : block.txs) {
-    hashes->push_back(sha256(tx.payload));
-  }
-  batch.tx_hashes = std::move(hashes);
-  on_commit_batch(batch);
-}
-
-void Gateway::on_commit_batch(const CommitBatch& batch) {
-  if (batch.tx_hashes == nullptr || mempool_.tracked_txs() == 0) {
-    drain_into_node();
-    return;
-  }
-  const double now = loop_.now();
+  const double notify_at = loop_.now();
   std::vector<std::uint64_t> touched;  // notified clients, flushed once below
-  for (const Hash& h : *batch.tx_hashes) {
-    auto rec = mempool_.match_commit(h, batch.at_epoch, batch.proposer, now);
+  for (const core::Transaction& tx : block.txs) {
+    auto rec = mempool_.match_commit(sha256(tx.payload), at_epoch, proposer,
+                                     notify_at);
     if (!rec.has_value()) continue;
     auto it = clients_.find(rec->client_nonce);
     if (it == clients_.end() || it->second.fd < 0) {
@@ -174,13 +130,12 @@ void Gateway::on_commit_batch(const CommitBatch& batch) {
     }
     ++stats_.commits_notified;
     if (ensure_queue_space(it->second, net::kTxCommittedFrameBytes)) {
-      net::encode_tx_committed_into(it->second.out, rec->client_seq,
-                                    rec->epoch, rec->proposer, rec->latency_us,
-                                    stage_breakdown(*rec, batch, now));
+      net::encode_tx_committed_into(
+          it->second.out, rec->client_seq, rec->epoch, rec->proposer,
+          rec->latency_us, stage_breakdown(*rec, stages, now, notify_at));
       touched.push_back(rec->client_nonce);
     }
   }
-  update_tracked_gauge();
   // One send() burst per client per delivered block, not per transaction.
   for (const std::uint64_t nonce : touched) {
     auto it = clients_.find(nonce);
@@ -379,7 +334,6 @@ void Gateway::handle_submit(Conn& c, const net::WireFrame& wf) {
   net::encode_tx_ack_into(c.out, wf.client_seq, static_cast<net::TxStatus>(r));
   switch (r) {
     case AdmitResult::Admitted:
-      update_tracked_gauge();
       // Feed the node up to the watermark right away (keeps latency low at
       // light load; the caps + watermark govern heavy load).
       drain_into_node();

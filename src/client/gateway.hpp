@@ -3,25 +3,14 @@
 // Listens on the node's `client_port` (net::ClusterConfig) and turns
 // external SubmitTx frames into mempool admissions and node submissions:
 //
-//   client ──SubmitTx──▶ Mempool.admit ──pump──▶ Sink.submit ──▶ blocks
+//   client ──SubmitTx──▶ Mempool.admit ──pump──▶ DlNode::submit ──▶ blocks
 //          ◀──TxAck────            (watermarked)
-//          ◀──TxCommitted── on_commit_batch (hash-matched per tx)
+//          ◀──TxCommitted── on_block_delivered (hash-matched per tx)
 //
-// Threading: one Gateway is affine to ONE net::EventLoop — every method
-// below must run on that loop's thread (tracked_gauge() excepted). What
-// varies is where the node lives relative to that loop:
-//
-//   Single-loop: the Gateway shares the replica's own loop. The DlNode&
-//   convenience constructor wires the Sink straight to DlNode::submit and
-//   the delivery callback calls on_block_delivered() in place.
-//
-//   Sharded (client::IngressShards): N Gateways each own a loop + thread
-//   and share one listen port via SO_REUSEPORT (the kernel spreads accepted
-//   connections across the shard listeners; a connection then lives on its
-//   shard's loop for life). The Sink posts admitted batches to the node
-//   loop, the watermark reads DlNode's atomic queue gauge, and the node
-//   loop fans a CommitBatch — per-transaction hashes computed ONCE — out to
-//   every shard via EventLoop::post.
+// Threading: the Gateway shares the replica's home loop with the DlNode it
+// feeds — every method below must run on that loop's thread. Admission
+// calls DlNode::submit in place, and the node's delivery callback calls
+// on_block_delivered() in place.
 //
 // Hardening mirrors the replica transport: accepted sockets must complete a
 // ClientHello within a deadline and a small pre-auth byte budget; frames are
@@ -36,11 +25,9 @@
 // reconnecting client presents the same nonce and adopts its predecessor's
 // identity, so TxCommitted notifications for transactions admitted on the
 // old connection reach the new one; commits for clients that never return
-// are counted and dropped. (Sharded caveat: a reconnect may land on a
-// DIFFERENT shard, whose mempool has no record of the old shard's in-flight
-// payloads. Resubmissions then re-commit the payload at the ledger level —
-// but the client-visible exactly-once contract still holds, because
-// DlClient dedups commit notifications by seq.)
+// are counted and dropped. One mempool sees every connection, so a payload
+// resubmitted after a reconnect is deduplicated and commits once at the
+// ledger level.
 //
 // The pump: admitted payloads do NOT go straight into the node's unbounded
 // input queue. They sit in the mempool (whose caps implement backpressure)
@@ -49,13 +36,9 @@
 // slow refill timer.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "client/mempool.hpp"
 #include "dl/block.hpp"
@@ -66,18 +49,6 @@
 #include "obs/relaxed.hpp"
 
 namespace dl::client {
-
-// One delivered block's commit work, prepared once on the node loop and
-// fanned out to every gateway shard. `tx_hashes` (sha256 of each transaction
-// payload, in block order) is immutable and shared — shards only look the
-// hashes up in their own mempools.
-struct CommitBatch {
-  std::uint64_t at_epoch = 0;
-  std::uint32_t proposer = 0;
-  double delivered_at = 0;              // node-clock delivery stamp
-  core::OwnBlockStages stages;          // zeros when not an own proposal
-  std::shared_ptr<const std::vector<Hash>> tx_hashes;
-};
 
 class Gateway {
  public:
@@ -91,21 +62,9 @@ class Gateway {
     double handshake_timeout = 5.0;
     std::size_t max_clients = 1024;
     // Stop pumping mempool → node while the node's input queue holds at
-    // least this many bytes (0 = derive 2×max_block_bytes from the sink).
+    // least this many bytes (0 = derive 2×max_block_bytes from the node).
     std::size_t node_queue_watermark = 0;
     double pump_interval = 0.005;  // refill timer, seconds
-    // SO_REUSEPORT before bind, so N shard gateways can share one port.
-    bool reuse_port = false;
-  };
-
-  // Where admitted transactions go. Both hooks are invoked on the gateway's
-  // loop; `submit` must deliver the batch to the node (directly on a shared
-  // loop, or via a cross-thread post), `queue_bytes` must be safe to call
-  // from this thread (DlNode::input_queue_bytes is an atomic gauge).
-  struct Sink {
-    std::function<void(std::vector<Bytes>)> submit;
-    std::function<std::size_t()> queue_bytes;
-    std::size_t max_block_bytes = 2'000'000;  // watermark derivation
   };
 
   // Relaxed-atomic cells: written on the gateway's loop, readable live from
@@ -122,11 +81,7 @@ class Gateway {
 
   // Binds the listen socket immediately (port may be 0: read the actual
   // port back via listen_port()); registers with the loop in start().
-  Gateway(net::EventLoop& loop, Sink sink, const std::string& host,
-          std::uint16_t port, Options opt);
-  // Single-loop convenience: node and gateway share `loop`; the sink feeds
-  // DlNode::submit directly and on_block_delivered can read the node's
-  // own-block stage stamps itself.
+  // `loop` is the node's home loop.
   Gateway(net::EventLoop& loop, core::DlNode& node, const std::string& host,
           std::uint16_t port, Options opt);
   Gateway(net::EventLoop& loop, core::DlNode& node, const std::string& host,
@@ -139,24 +94,12 @@ class Gateway {
   std::uint16_t listen_port() const { return listen_port_; }
   void start();
 
-  // Single-loop delivery hook: wire this into (or call it from) the node's
-  // delivery callback. Builds the CommitBatch (hashing each transaction
-  // once, skipped entirely while nothing is tracked) and applies it here.
-  // `at_epoch` is the monotone delivery epoch clients see.
+  // Delivery hook: call it from the node's delivery callback. Hashes each
+  // transaction once (skipped entirely while no client awaits a commit),
+  // notifies the owning clients with the stage breakdown, then refills the
+  // node. `at_epoch` is the monotone delivery epoch clients see.
   void on_block_delivered(std::uint64_t at_epoch, const core::BlockKey& key,
                           const core::Block& block, double now);
-
-  // Sharded delivery hook: applies a prepared batch — match every hash
-  // against this shard's mempool, notify owning clients (with the stage
-  // breakdown), refill the node. Runs on the gateway's loop.
-  void on_commit_batch(const CommitBatch& batch);
-
-  // Tracked-transaction gauge, readable from ANY thread (relaxed atomic):
-  // the node loop sums the shards' gauges to skip per-transaction hashing
-  // of delivered blocks while no client awaits a commit.
-  std::size_t tracked_gauge() const {
-    return tracked_gauge_.load(std::memory_order_relaxed);
-  }
 
   // Graceful shutdown: stop accepting, send each client a Goodbye, flush
   // what the sockets will take synchronously, close everything.
@@ -199,13 +142,9 @@ class Gateway {
   void flush_writes(Conn& c);
   void update_interest(Conn& c);
   void close_client(Conn& c);
-  void update_tracked_gauge() {
-    tracked_gauge_.store(mempool_.tracked_txs(), std::memory_order_relaxed);
-  }
 
   net::EventLoop& loop_;
-  Sink sink_;
-  core::DlNode* node_ = nullptr;  // single-loop convenience mode only
+  core::DlNode& node_;
   Options opt_;
   Mempool mempool_;
   int listen_fd_ = -1;
@@ -217,7 +156,6 @@ class Gateway {
   std::uint64_t next_pending_id_ = 1;
   std::map<int, PendingAccept> pending_;      // fd → pre-auth state
   std::map<std::uint64_t, Conn> clients_;     // nonce → connection
-  std::atomic<std::size_t> tracked_gauge_{0};
   Stats stats_;
 };
 

@@ -667,19 +667,23 @@ void DlNode::try_deliver() {
     for (const auto& [d, j] : st.linked_blocks) deliver(BlockKey{d, j});
     st.linked_blocks.clear();
     st.delivered = true;
-    ++stats_.delivered_epochs;
-    if (flight_ != nullptr) {
-      flight_->record(env_.now(), obs::FlightRecorder::Ev::kDeliver, e, 0,
-                      static_cast<std::uint64_t>(st.commit_set().size()));
-    }
-    ++deliver_next_;
-    if (store_ != nullptr) store_->append_epoch_done(e);
+    close_epoch(e, st.commit_set().size());
     delivered_any = true;
   }
   if (delivered_any) {
     request_store_drain();
     maybe_propose();  // HB advances epochs on delivery
   }
+}
+
+void DlNode::close_epoch(std::uint64_t at, std::uint64_t blocks) {
+  ++stats_.delivered_epochs;
+  if (flight_ != nullptr) {
+    flight_->record(env_.now(), obs::FlightRecorder::Ev::kDeliver, at, 0,
+                    blocks);
+  }
+  ++deliver_next_;
+  if (store_ != nullptr) store_->append_epoch_done(at);
 }
 
 // The delivery rule (Fig. 17, Phase 2), for every origin. A block committed
@@ -1035,10 +1039,8 @@ void DlNode::try_install_catch_up() {
         commit(at, key, slot.content, Origin::kCatchUp);
       }
     }
-    if (store_ != nullptr) store_->append_epoch_done(at);
-    ++stats_.delivered_epochs;
+    close_epoch(at, ep.count);
     ++stats_.caught_up_epochs;
-    ++deliver_next_;
     epochs_.erase(at);  // any local BA state for it can never matter again
     round_.epochs.erase(it);
     installed = true;

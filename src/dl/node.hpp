@@ -163,8 +163,8 @@ class DlNode : public runtime::Receiver {
   void set_flight_recorder(obs::FlightRecorder* fr) { flight_ = fr; }
   // Live backlog of submitted-but-not-yet-proposed transactions (wire
   // bytes). The client gateway uses this as its pump watermark so the
-  // mempool, not this unbounded queue, absorbs ingress bursts. Thread-safe
-  // gauge: gateway shards on other loops read it without posting.
+  // mempool, not this unbounded queue, absorbs ingress bursts. A relaxed
+  // atomic, so the metrics plane may read it from any thread.
   std::size_t input_queue_bytes() const {
     return input_queue_bytes_.load(std::memory_order_relaxed);
   }
@@ -234,6 +234,10 @@ class DlNode : public runtime::Receiver {
   enum class Origin { kLive, kCatchUp, kReplay };
   void commit(std::uint64_t at_epoch, BlockKey key, const Bytes& content,
               Origin origin);
+  // Closes delivery epoch `at` (== deliver_next_) once all its blocks were
+  // committed, for live delivery and catch-up alike; `blocks` labels the
+  // flight event.
+  void close_epoch(std::uint64_t at, std::uint64_t blocks);
 
   // Durability + catch-up.
   void recover_from_store();
@@ -254,8 +258,8 @@ class DlNode : public runtime::Receiver {
   std::map<std::uint64_t, DLEpoch> epochs_;
   RetrievalManager retrievals_;
 
-  // Input queue. The byte gauge is atomic only so off-loop gateway shards
-  // can read the watermark; all mutation happens on the home loop.
+  // Input queue. The byte gauge is atomic only so off-loop readers are
+  // well-defined; all mutation happens on the home loop.
   std::deque<Transaction> input_queue_;
   std::atomic<std::size_t> input_queue_bytes_{0};
 

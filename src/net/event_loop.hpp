@@ -2,10 +2,10 @@
 //
 // This is the real-time analogue of sim::EventQueue: a clock that starts
 // near zero, ordered timers, and fd readiness callbacks. A process may run
-// several loops (dlnoded shards client ingress across N of them and runs
-// --net-loops replica transport loops); all loops in one process share a
-// single clock epoch, so `now()` values taken on different loops are
-// directly comparable (cross-loop stage timing depends on this).
+// several loops (dlnoded's home loop plus its --net-loops replica transport
+// loops); all loops in one process share a single clock epoch, so `now()`
+// values taken on different loops are directly comparable (cross-loop stage
+// timing depends on this).
 //
 // Threading contract (enforced by convention, checked under TSan):
 //

@@ -57,7 +57,6 @@
 #include "net/frame.hpp"
 #include "net/shaper.hpp"
 #include "runtime/env.hpp"
-#include "runtime/worker_pool.hpp"
 
 namespace dl::net {
 
@@ -105,12 +104,6 @@ class TcpEnv final : public runtime::Env {
   // Updates a peer's port before start() (port-0 discovery in tests).
   void set_peer_port(int id, std::uint16_t port);
 
-  // Optional executor for offload(); set before start(). The pool must
-  // outlive every in-flight job but be destroyed before the loop stops
-  // servicing posts (dlnoded: pool is destroyed after loop.run() returns,
-  // which is fine — orphaned completions die in the loop's mailbox).
-  void set_worker_pool(runtime::WorkerPool* pool) { pool_ = pool; }
-
   // Injects the Receiver, registers sockets with their owner loops, begins
   // dialing, spawns the transport-loop threads (multi-loop mode), and
   // schedules the Receiver's start() as the first home-loop task. Call once
@@ -134,9 +127,6 @@ class TcpEnv final : public runtime::Env {
   void cancel_send(std::uint64_t tag) override;
   // Thread-safe: posts fn to the home loop.
   void defer(std::function<void()> fn) override { loop_.post(std::move(fn)); }
-  // With a worker pool: `work` runs on a pool thread, `done` is posted back
-  // to the home loop. Without one: both run inline (the sim schedule).
-  void offload(std::function<void()> work, std::function<void()> done) override;
 
   // --- backpressure / health accounting -----------------------------------
   struct PeerStats {
@@ -304,7 +294,6 @@ class TcpEnv final : public runtime::Env {
   int self_;
   Options opt_;
   runtime::Receiver* receiver_ = nullptr;
-  runtime::WorkerPool* pool_ = nullptr;
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   bool started_ = false;

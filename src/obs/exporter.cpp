@@ -1,7 +1,6 @@
 #include "obs/exporter.hpp"
 
 #include "client/gateway.hpp"
-#include "client/ingress.hpp"
 #include "dl/node.hpp"
 #include "net/buffer_pool.hpp"
 #include "net/event_loop.hpp"
@@ -122,11 +121,6 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
       add_loop(reg, "net" + std::to_string(i), &src_.env->transport_loop(i));
     }
   }
-  if (src_.shards != nullptr) {
-    for (int i = 0; i < src_.shards->shard_count(); ++i) {
-      add_loop(reg, "shard" + std::to_string(i), &src_.shards->shard_loop(i));
-    }
-  }
 
   c_pool_fresh_ = reg.counter("dl_bufpool_fresh_allocs_total",
                               "buffers served by new[]");
@@ -137,7 +131,7 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
   c_pool_huge_ = reg.counter("dl_bufpool_huge_allocs_total",
                              "above-largest-class allocations (not pooled)");
 
-  if (src_.shards != nullptr || src_.gateway != nullptr) {
+  if (src_.gateway != nullptr) {
     c_gw_accepted_ = reg.counter("dl_gateway_accepted_total",
                                  "client sockets past ClientHello");
     g_gw_active_ =
@@ -250,10 +244,8 @@ void NodeExporter::refresh() {
   c_pool_releases_->set(ps.releases);
   c_pool_huge_->set(ps.huge_allocs);
 
-  if (src_.shards != nullptr || src_.gateway != nullptr) {
-    const client::Gateway::Stats gs = src_.shards != nullptr
-                                          ? src_.shards->aggregate_stats()
-                                          : src_.gateway->stats();
+  if (src_.gateway != nullptr) {
+    const client::Gateway::Stats& gs = src_.gateway->stats();
     c_gw_accepted_->set(gs.accepted);
     g_gw_active_->set(static_cast<std::int64_t>(gs.active.load()));
     c_gw_submits_->set(gs.submits);
@@ -261,9 +253,7 @@ void NodeExporter::refresh() {
     c_gw_clientless_->set(gs.commits_clientless);
     c_gw_slow_->set(gs.disconnects_slow);
     c_gw_bad_->set(gs.disconnects_bad);
-    const client::MempoolStats ms =
-        src_.shards != nullptr ? src_.shards->aggregate_mempool_stats()
-                               : src_.gateway->mempool().stats();
+    const client::MempoolStats& ms = src_.gateway->mempool().stats();
     c_mp_admitted_->set(ms.admitted);
     c_mp_admitted_bytes_->set(ms.admitted_bytes);
     c_mp_drop_dup_->set(ms.dropped_duplicate);
@@ -291,14 +281,10 @@ std::string NodeExporter::delta_line(double now) {
     cur.delivered_epochs = s.delivered_epochs;
     cur.delivered_tx = s.delivered_tx_count;
   }
-  if (src_.shards != nullptr || src_.gateway != nullptr) {
-    const client::Gateway::Stats gs = src_.shards != nullptr
-                                          ? src_.shards->aggregate_stats()
-                                          : src_.gateway->stats();
+  if (src_.gateway != nullptr) {
+    const client::Gateway::Stats& gs = src_.gateway->stats();
     cur.submits = gs.submits;
-    const client::MempoolStats ms =
-        src_.shards != nullptr ? src_.shards->aggregate_mempool_stats()
-                               : src_.gateway->mempool().stats();
+    const client::MempoolStats& ms = src_.gateway->mempool().stats();
     cur.admitted = ms.admitted;
     cur.drops = static_cast<std::uint64_t>(ms.dropped_duplicate) +
                 ms.dropped_full + ms.dropped_oversize;
@@ -325,7 +311,7 @@ std::string NodeExporter::delta_line(double now) {
     line.kv("epochs", cur.delivered_epochs)
         .rate("tx", cur.delivered_tx - prev.delivered_tx, dt);
   }
-  if (src_.shards != nullptr || src_.gateway != nullptr) {
+  if (src_.gateway != nullptr) {
     line.rate("submits", cur.submits - prev.submits, dt)
         .rate("admits", cur.admitted - prev.admitted, dt)
         .kv("drops", cur.drops);

@@ -10,8 +10,8 @@
 // --stats-interval timer and the SIGUSR1 handler all live there). Sources
 // split into two groups:
 //   - thread-safe anywhere: TcpEnv peer/shaper stats, BufferPool,
-//     LedgerStore, EventLoop::stats(), IngressShards aggregates, Mempool
-//     counters (all relaxed atomics or internally locked);
+//     LedgerStore, EventLoop::stats(), Gateway and Mempool counters (all
+//     relaxed atomics or internally locked);
 //   - home-loop-affine: DlNode::stats() — safe precisely because the hook
 //     runs on the home loop.
 // Keep that split in mind before snapshotting from any other thread.
@@ -37,8 +37,7 @@ class EventLoop;
 }  // namespace dl::net
 namespace dl::client {
 class Gateway;
-class IngressShards;
-}  // namespace dl::client
+}
 namespace dl::storage {
 class LedgerStore;
 }
@@ -49,9 +48,8 @@ struct ExporterSources {
   core::DlNode* node = nullptr;
   net::TcpEnv* env = nullptr;
   const net::EventLoop* home_loop = nullptr;
-  client::IngressShards* shards = nullptr;  // ingress plane, --loops >= 2
-  client::Gateway* gateway = nullptr;       // single-loop ingress, --loops 1
-  storage::LedgerStore* store = nullptr;    // null without --store
+  client::Gateway* gateway = nullptr;     // null without a client_port
+  storage::LedgerStore* store = nullptr;  // null without --store
 };
 
 class NodeExporter {
@@ -115,7 +113,7 @@ class NodeExporter {
   Counter* c_shaper_lost_bytes_ = nullptr;
   Counter* c_shaper_throttles_ = nullptr;
 
-  // event loops (home + transport + ingress shards)
+  // event loops (home + transport)
   struct LoopSeries {
     const net::EventLoop* loop = nullptr;
     Counter* polls = nullptr;
@@ -135,7 +133,7 @@ class NodeExporter {
   Counter* c_pool_releases_ = nullptr;
   Counter* c_pool_huge_ = nullptr;
 
-  // gateway / mempool (aggregated across shards)
+  // gateway / mempool
   Counter* c_gw_accepted_ = nullptr;
   Gauge* g_gw_active_ = nullptr;
   Counter* c_gw_submits_ = nullptr;

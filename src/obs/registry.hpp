@@ -3,8 +3,7 @@
 //
 // Shape of the problem: a replica's stats live in many places — EventLoop
 // drain counters on N transport loops, PeerCounters inside TcpEnv, mempool
-// admit/drop tallies on ingress shards, LedgerStore fsync counts behind the
-// worker pool. The registry gives them one export surface with two rules:
+// admit/drop tallies in the gateway, LedgerStore fsync counts. The registry gives them one export surface with two rules:
 //
 //   update side — Counter/Gauge are single relaxed atomics; Histogram is a
 //     relaxed fetch_add into one of ~160 fixed buckets. All are safe to hit
@@ -14,8 +13,7 @@
 //     registered sample hooks (closures that mirror externally-owned stats
 //     structs into instruments), then walk the families. Hooks run on the
 //     snapshotting thread; in dlnoded that is the node home loop, so hooks
-//     may read home-loop-affine state (NodeStats, the single-loop gateway)
-//     in addition to thread-safe sources.
+//     may read home-loop-affine state (NodeStats, the gateway) in addition to thread-safe sources.
 //
 // Instruments are registered once at startup and never unregistered;
 // pointers returned by counter()/gauge()/histogram() stay valid for the

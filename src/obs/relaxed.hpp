@@ -1,15 +1,14 @@
 // RelaxedU64 — a copyable relaxed-atomic counter cell.
 //
-// Stats structs on the client plane (Mempool, Gateway) are written from
-// exactly one shard thread but read live by the admin/metrics plane on the
-// node loop. Plain u64 fields made that a C++ data race (IngressShards used
-// to assert its aggregate accessors were only called before start() or
-// after shutdown()). RelaxedU64 keeps the write side as cheap as a plain
-// increment — a relaxed fetch_add compiles to `lock add` with no ordering
-// stalls — while making cross-thread reads well-defined.
+// Stats structs (Mempool, Gateway, loop and peer counters) are written by
+// exactly one thread — the home loop or a transport loop — but may be read
+// live by the metrics plane from another. Plain u64 fields would make such
+// a read a C++ data race. RelaxedU64 keeps the write side as cheap as a
+// plain increment — a relaxed fetch_add compiles to `lock add` with no
+// ordering stalls — while making cross-thread reads well-defined.
 //
-// Copy/assignment snapshot the value, so `Stats s = shard.stats();` keeps
-// working on structs whose fields are RelaxedU64. Individual field reads are
+// Copy/assignment snapshot the value, so `Stats s = gateway.stats();` works
+// on structs whose fields are RelaxedU64. Individual field reads are
 // each atomic; a copied struct is NOT a consistent cross-field snapshot
 // (neither was the old plain-field version — these are monitoring counters,
 // not invariants).

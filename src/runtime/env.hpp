@@ -37,11 +37,12 @@
 //
 // offload(work, done): `work` is a closure over value-captured inputs that
 // must not touch node or Env state; `done` runs on the home loop after
-// `work` returns and may touch everything. The simulator (and a TcpEnv
-// without a worker pool) runs both synchronously inline — callers must be
-// correct under either schedule, which the continuation style forces. A
-// TcpEnv with a WorkerPool runs `work` on a pool thread and posts `done`
-// home: that is how erasure coding and Merkle hashing leave the hot loop.
+// `work` returns and may touch everything. Both shipped backends run the
+// two synchronously inline — coding is cheap next to the bandwidth a
+// replica waits on, and the inline schedule is what keeps the simulator
+// deterministic. The continuation style stays so callers are written to
+// be correct under a deferred `done` too (a wrapping Env such as a tracer
+// may label or time the two halves separately).
 //
 // The Receiver is injected at start time (TcpEnv::start(Receiver&),
 // SimEnv::attach(Receiver&)) — there is no mutable bind() — so by the time
@@ -130,12 +131,13 @@ class Env {
   virtual void cancel_send(std::uint64_t tag) = 0;
 
   // Executor seam. defer() is the thread-safe way back to the home loop;
-  // offload() pushes CPU-heavy, state-free `work` off-loop (when the
-  // backend has somewhere to push it) and runs `done` on the home loop
-  // afterwards. See the threading-contract table above for the exact
-  // schedule each backend guarantees.
+  // offload() runs CPU-heavy, state-free `work` and then `done` inline on
+  // the home loop (see the threading contract above).
   virtual void defer(std::function<void()> fn) = 0;
-  virtual void offload(std::function<void()> work, std::function<void()> done) = 0;
+  virtual void offload(std::function<void()> work, std::function<void()> done) {
+    work();
+    done();
+  }
 };
 
 }  // namespace dl::runtime

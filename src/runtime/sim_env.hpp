@@ -40,7 +40,6 @@ class SimEnv final : public Env, public sim::Host {
   void broadcast(const Envelope& env, const SendOpts& opts) override;
   void cancel_send(std::uint64_t tag) override;
   void defer(std::function<void()> fn) override;
-  void offload(std::function<void()> work, std::function<void()> done) override;
 
   // --- sim::Host ----------------------------------------------------------
   void start() override;

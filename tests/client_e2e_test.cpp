@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "client/dl_client.hpp"
 #include "client/gateway.hpp"
+#include "crypto/sha256.hpp"
 #include "dl/node.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_env.hpp"
@@ -78,7 +80,8 @@ struct Cluster {
     }
   }
 
-  // Runs until `done` or the watchdog; returns false on timeout.
+  // Runs until `done` or the watchdog; returns false on timeout. The
+  // watchdog is cancelled on return, so it cannot fire into a later run.
   bool run_until(std::function<bool()> done, double watchdog = 30.0) {
     bool timed_out = false;
     std::function<void()> poll = [&] {
@@ -89,11 +92,12 @@ struct Cluster {
       loop.after(0.01, poll);
     };
     loop.after(0.01, poll);
-    loop.after(watchdog, [&] {
+    const std::uint64_t wd = loop.after(watchdog, [&] {
       timed_out = true;
       loop.stop();
     });
     loop.run();
+    loop.cancel_timer(wd);
     return !timed_out;
   }
 };
@@ -283,6 +287,112 @@ TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
   ASSERT_TRUE(cluster.run_until([&] { return cli.stats().committed >= 20; }));
   close(raw);
   EXPECT_EQ(cli.stats().committed, 20u);
+}
+
+// Connection churn on one gateway: three clients commit, one leaves, and a
+// fresh session joins, commits new payloads and resubmits two the departed
+// client already committed. Every seq commits once for its submitter, the
+// gateway and mempool totals are exact after shutdown, and node 0's ledger
+// holds every payload exactly once — the resubmits are answered from the
+// committed ring, never re-admitted.
+TEST(ClientE2E, ConnectionChurnCommitsEveryPayloadOnce) {
+  Cluster cluster(4);
+  Replica& r0 = cluster.replicas[0];
+  std::map<Hash, int> in_ledger;  // payload hash -> times node 0 delivered it
+  r0.node->set_delivery_callback([&](std::uint64_t at, core::BlockKey key,
+                                     const core::Block& b, double now) {
+    r0.ledger.emplace_back(at, key);
+    for (const core::Transaction& tx : b.txs) ++in_ledger[sha256(tx.payload)];
+    r0.gateway->on_block_delivered(at, key, b, now);
+  });
+  const std::uint16_t port = r0.gateway->listen_port();
+
+  constexpr int kClients = 3;
+  constexpr std::uint64_t kPerClient = 20;
+  constexpr std::uint64_t kFresh = 5;
+  constexpr std::uint64_t kResubmits = 2;
+  std::vector<std::unique_ptr<DlClient>> clients;
+  std::vector<std::set<std::uint64_t>> committed(kClients + 1);
+  std::uint64_t dup_commits = 0;
+  auto add_client = [&](std::size_t c) {
+    clients.push_back(
+        std::make_unique<DlClient>(cluster.loop, "127.0.0.1", port));
+    clients.back()->set_commit_callback(
+        [&, c](std::uint64_t seq, std::uint64_t, std::uint32_t, double,
+               const net::StageLatencies&) {
+          if (!committed[c].insert(seq).second) ++dup_commits;
+        });
+    clients.back()->start();
+  };
+  for (std::size_t c = 0; c < kClients; ++c) add_client(c);
+
+  std::vector<std::uint64_t> submitted(kClients, 0);
+  std::function<void()> feed = [&] {
+    for (std::size_t c = 0; c < kClients; ++c) {
+      if (submitted[c] < kPerClient) {
+        clients[c]->submit(unique_payload(c + 1, submitted[c]++));
+      }
+    }
+    if (submitted[0] < kPerClient) cluster.loop.after(0.002, feed);
+  };
+  cluster.loop.after(0.0, feed);
+  ASSERT_TRUE(cluster.run_until([&] {
+    for (std::size_t c = 0; c < kClients; ++c) {
+      if (committed[c].size() < kPerClient) return false;
+    }
+    return true;
+  })) << "committed " << committed[0].size() << "/" << committed[1].size()
+      << "/" << committed[2].size();
+
+  // Churn: client 0 leaves; a new session (fresh nonce) joins.
+  clients[0]->close();
+  add_client(kClients);
+  cluster.loop.after(0.0, [&] {
+    for (std::uint64_t i = 0; i < kFresh; ++i) {
+      clients.back()->submit(unique_payload(99, i));
+    }
+    for (std::uint64_t i = 0; i < kResubmits; ++i) {
+      clients.back()->submit(unique_payload(1, i));
+    }
+  });
+  ASSERT_TRUE(cluster.run_until(
+      [&] { return committed[kClients].size() >= kFresh + kResubmits; }));
+  // A few more epochs, so a wrongly re-admitted payload would have landed.
+  const std::uint64_t settle = r0.node->stats().delivered_epochs + 3;
+  ASSERT_TRUE(cluster.run_until(
+      [&] { return r0.node->stats().delivered_epochs >= settle; }, 10.0));
+
+  EXPECT_EQ(dup_commits, 0u);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(committed[c].size(), kPerClient) << "client " << c;
+  }
+  EXPECT_EQ(committed[kClients].size(), kFresh + kResubmits);
+  for (auto& c : clients) c->close();
+  r0.gateway->shutdown();
+
+  constexpr std::uint64_t kUnique = kClients * kPerClient + kFresh;
+  constexpr std::uint64_t kSubmits = kUnique + kResubmits;
+  const Gateway::Stats& gs = r0.gateway->stats();
+  EXPECT_EQ(gs.submits, kSubmits);
+  EXPECT_EQ(gs.commits_notified, kSubmits);
+  EXPECT_EQ(gs.commits_clientless, 0u);
+  const MempoolStats& ms = r0.gateway->mempool().stats();
+  EXPECT_EQ(ms.admitted, kUnique);
+  EXPECT_EQ(ms.committed, kUnique);
+  EXPECT_EQ(ms.committed_replays, kResubmits);
+  EXPECT_EQ(ms.dropped_duplicate, 0u);
+
+  // Ledger-level exactly-once: only these payloads were ever submitted.
+  EXPECT_EQ(in_ledger.size(), kUnique);
+  for (const auto& [h, times] : in_ledger) EXPECT_EQ(times, 1);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::uint64_t i = 0; i < kPerClient; ++i) {
+      EXPECT_EQ(in_ledger.count(sha256(unique_payload(c + 1, i))), 1u);
+    }
+  }
+  for (std::uint64_t i = 0; i < kFresh; ++i) {
+    EXPECT_EQ(in_ledger.count(sha256(unique_payload(99, i))), 1u);
+  }
 }
 
 TEST(ClientE2E, GatewayShutdownSendsGoodbye) {
