@@ -189,15 +189,6 @@ std::size_t LinkShaper::take(double now, std::size_t want) {
   return grant;
 }
 
-void LinkShaper::refund(std::size_t bytes) {
-  if (bytes == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  tokens_ = std::min(static_cast<double>(burst_),
-                     tokens_ + static_cast<double>(bytes));
-  stats_.shaped_bytes -= std::min(stats_.shaped_bytes,
-                                  static_cast<std::uint64_t>(bytes));
-}
-
 double LinkShaper::next_release(double now) {
   std::lock_guard<std::mutex> lk(mu_);
   refill_locked(now);

@@ -63,13 +63,15 @@ std::optional<RateSchedule> load_rate_trace(const std::string& path,
 
 // Token-bucket pacer with schedule-driven fill rate plus delay/jitter/loss.
 //
-// Usage at the write-queue drain (see TcpEnv::flush_writes):
-//   size_t budget = shaper->take(now, want);   // reserves tokens
-//   ... sendmsg() at most `budget` bytes, actually writes n ...
-//   shaper->refund(budget - n);                // EAGAIN / short write
-//   if (budget == 0) wake at shaper->next_release(now);
-// take() reserves rather than peeks so that peers on different event loops
-// sharing one bucket cannot both spend the same tokens.
+// Usage at TcpEnv's pay stage (TcpEnv::pay_frames), one frame at a time:
+//   size_t got = shaper->take(now, frame_bytes - paid);  // spends tokens
+//   paid += got;
+//   if (got == 0) wake at shaper->next_release(now);
+//   if (paid == frame_bytes) release the frame at now + delay_draw()
+// Paid bytes stay owed to the socket until written, so nothing is ever
+// given back to the bucket. take() spends rather than peeks so that peers on
+// different event loops sharing one bucket cannot both spend the same
+// tokens.
 class LinkShaper {
  public:
   struct Config {
@@ -92,13 +94,10 @@ class LinkShaper {
   // shaper built at process start consumes the trace from its beginning.
   LinkShaper(const Config& cfg, double now);
 
-  // Reserve up to `want` tokens available at `now`. Returns 0 (and counts a
+  // Spend up to `want` tokens available at `now`. Returns 0 (and counts a
   // throttle wait) when fewer than min(want, quantum) tokens are available —
-  // sub-quantum grants would degrade into per-byte syscalls.
+  // sub-quantum grants would degrade into per-byte wakes.
   std::size_t take(double now, std::size_t want);
-
-  // Return tokens that were reserved by take() but not actually sent.
-  void refund(std::size_t bytes);
 
   // Earliest time at which take(t, quantum) can succeed. Integrates the
   // piecewise schedule across rate boundaries. Returns `now` if tokens are
@@ -113,8 +112,6 @@ class LinkShaper {
   bool lose_frame(std::size_t frame_bytes);
 
   bool unlimited_rate() const { return cfg_.schedule.unlimited(); }
-  bool has_delay() const { return cfg_.delay > 0 || cfg_.jitter > 0; }
-  bool has_loss() const { return cfg_.loss > 0; }
   std::size_t quantum() const { return quantum_; }
   std::size_t burst() const { return burst_; }
 

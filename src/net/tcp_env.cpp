@@ -30,6 +30,7 @@ constexpr std::size_t kMaxIov = 64;
 constexpr std::size_t kRecvBatchBytes = 64u << 10;
 
 constexpr auto relaxed = std::memory_order_relaxed;
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -316,7 +317,9 @@ void TcpEnv::cancel_send_on(std::size_t loop_idx, std::uint64_t tag) {
   for (Peer& p : peers_) {
     if (multi() && owner_index(p.id) != loop_idx) continue;
     for (auto it = p.low.begin(); it != p.low.end();) {
-      if (it->second.tag == tag) {
+      // A partly paid frame is already on the emulated wire and keeps going,
+      // like the message in service in FluidLink::cancel.
+      if (it->second.tag == tag && it->second.paid == 0) {
         p.stats.queued_bytes.fetch_sub(it->second.size(), relaxed);
         it = p.low.erase(it);
       } else {
@@ -359,15 +362,10 @@ void TcpEnv::enqueue(Peer& p, OutFrame frame, const runtime::SendOpts& opts) {
     p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
     return;
   }
-  if (p.shaper) {
-    if (p.shaper->lose_frame(size)) {
-      p.stats.shaped_drops.fetch_add(1, relaxed);
-      p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
-      return;
-    }
-    if (p.shaper->has_delay()) {
-      frame.ready_at = owner_loop(p.id).now() + p.shaper->delay_draw();
-    }
+  if (p.shaper && p.shaper->lose_frame(size)) {
+    p.stats.shaped_drops.fetch_add(1, relaxed);
+    p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
+    return;
   }
   if (size > opt_.max_frame_bytes + kFrameHeaderBytes) {
     // Never emit a frame every receiver is obliged to reject — that would
@@ -398,14 +396,32 @@ void TcpEnv::enqueue_and_flush(Peer& p, OutFrame frame,
   if (p.fd >= 0 && !p.connecting) flush_writes(p);
 }
 
+bool TcpEnv::has_sendable(const Peer& p, double now) const {
+  if (p.shaper) return !p.delayed.empty() && p.delayed.front().ready_at <= now;
+  return !p.high.empty() || !p.low.empty();
+}
+
+void TcpEnv::pop_next(Peer& p) {
+  if (p.shaper || !p.high.empty()) {
+    std::deque<OutFrame>& fifo = p.shaper ? p.delayed : p.high;
+    p.inflight = std::move(fifo.front());
+    fifo.pop_front();
+  } else {
+    p.inflight = std::move(p.low.begin()->second);
+    p.low.erase(p.low.begin());
+  }
+  p.has_inflight = true;
+  p.inflight_off = 0;
+}
+
 void TcpEnv::update_interest(Peer& p) {
   if (p.fd < 0) return;
-  // While the drain is paused on the shaper (token deficit or link delay),
-  // EPOLLOUT must be off — the socket is writable the whole time and would
-  // otherwise spin the loop; the shape timer reopens the gate.
-  const bool backlog =
-      p.has_inflight || !p.high.empty() || !p.low.empty();
-  const bool want = p.connecting || (backlog && !p.shaper_blocked);
+  // EPOLLOUT only while there is something to send now: a shaped peer
+  // waiting on its bucket or delay line would otherwise spin the loop on an
+  // always-writable socket; the shape timer calls flush_writes instead.
+  const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
+  const bool want =
+      p.connecting || p.has_inflight || has_sendable(p, now);
   const std::uint32_t events =
       EPOLLIN | (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   if (want == p.want_write) return;
@@ -431,81 +447,60 @@ void TcpEnv::add_iov(const OutFrame& f, std::size_t off, iovec* iov,
   }
 }
 
+double TcpEnv::pay_frames(Peer& p, double now) {
+  LinkShaper& sh = *p.shaper;
+  for (;;) {
+    const bool high = !p.high.empty();
+    if (!high && p.low.empty()) return kNever;
+    OutFrame& f = high ? p.high.front() : p.low.begin()->second;
+    if (!sh.unlimited_rate()) {
+      const std::size_t got = sh.take(now, f.size() - f.paid);
+      if (got == 0) {
+        p.stats.shaper_waits.fetch_add(1, relaxed);
+        return sh.next_release(now);
+      }
+      f.paid += got;
+      if (f.paid < f.size()) continue;
+    }
+    p.last_release = std::max(now + sh.delay_draw(), p.last_release);
+    f.ready_at = p.last_release;
+    p.delayed.push_back(std::move(f));
+    if (high) {
+      p.high.pop_front();
+    } else {
+      p.low.erase(p.low.begin());
+    }
+  }
+}
+
 void TcpEnv::flush_writes(Peer& p) {
-  p.shaper_blocked = false;  // re-evaluate the gate from scratch
+  // Shaped: first pay for as many queued frames as the bucket allows, then
+  // write whatever the delay line has released.
+  const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
+  double wake = p.shaper ? pay_frames(p, now) : kNever;
   while (p.fd >= 0) {
     if (!p.has_inflight) {
-      if (!p.high.empty()) {
-        p.inflight = std::move(p.high.front());
-        p.high.pop_front();
-      } else if (!p.low.empty()) {
-        p.inflight = std::move(p.low.begin()->second);
-        p.low.erase(p.low.begin());
-      } else {
-        break;
-      }
-      p.has_inflight = true;
-      p.inflight_off = 0;
+      if (!has_sendable(p, now)) break;
+      pop_next(p);
     }
-    // WAN emulation gates, enforced at the drain so the data stays where it
-    // already is (zero-copy): (1) the head frame's release time — a frame
-    // whose first byte is out keeps going, pacing handles the rest; (2) the
-    // token bucket, which caps how many bytes this round may gather.
-    const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
-    if (p.inflight_off == 0 && p.inflight.ready_at > now) {
-      p.shaper_blocked = true;
-      schedule_shape_wake(p, p.inflight.ready_at);
-      break;
-    }
-    std::size_t budget = std::numeric_limits<std::size_t>::max();
-    const bool paced = p.shaper && !p.shaper->unlimited_rate();
-    if (paced) {
-      budget = p.shaper->take(now, p.stats.queued_bytes.load(relaxed));
-      if (budget == 0) {
-        p.shaper_blocked = true;
-        p.stats.shaper_waits.fetch_add(1, relaxed);
-        schedule_shape_wake(p, p.shaper->next_release(now));
-        break;
-      }
-    }
-    // Gather the inflight remainder plus as many released queued frames as
-    // fit in one sendmsg — consume_written pops them in exactly this order.
+    // Gather the inflight remainder plus as many sendable frames as fit in
+    // one sendmsg — consume_written pops them in exactly this order.
     iovec iov[kMaxIov];
     std::size_t niov = 0;
-    std::size_t gathered = p.inflight.size() - p.inflight_off;
     add_iov(p.inflight, p.inflight_off, iov, niov);
-    // consume_written pops High before Low, so the moment a gated High frame
-    // stops this loop nothing after it may be gathered — not even released
-    // Low frames — or the write accounting would pop the wrong frames.
-    bool high_gated = false;
-    for (const OutFrame& f : p.high) {
-      if (niov + 2 > kMaxIov || gathered >= budget) break;
-      if (f.ready_at > now) {  // FIFO: later frames wait behind it
-        high_gated = true;
-        break;
-      }
-      add_iov(f, 0, iov, niov);
-      gathered += f.size();
-    }
-    if (!high_gated && niov + 2 <= kMaxIov && gathered < budget) {
-      for (const auto& [key, f] : p.low) {
-        if (niov + 2 > kMaxIov || gathered >= budget) break;
-        if (f.ready_at > now) break;
+    if (p.shaper) {
+      for (const OutFrame& f : p.delayed) {
+        if (niov + 2 > kMaxIov || f.ready_at > now) break;
         add_iov(f, 0, iov, niov);
-        gathered += f.size();
       }
-    }
-    // Pacing trims the gather to the granted bytes in place — the frames
-    // themselves are untouched, the last iovec just gets shorter.
-    if (gathered > budget) {
-      std::size_t acc = 0;
-      for (std::size_t i = 0; i < niov; ++i) {
-        if (acc + iov[i].iov_len > budget) {
-          iov[i].iov_len = budget - acc;
-          niov = i + (iov[i].iov_len > 0 ? 1u : 0u);
-          break;
-        }
-        acc += iov[i].iov_len;
+    } else {
+      for (const OutFrame& f : p.high) {
+        if (niov + 2 > kMaxIov) break;
+        add_iov(f, 0, iov, niov);
+      }
+      for (const auto& [key, f] : p.low) {
+        if (niov + 2 > kMaxIov) break;
+        add_iov(f, 0, iov, niov);
       }
     }
     msghdr mh{};
@@ -515,47 +510,46 @@ void TcpEnv::flush_writes(Peer& p) {
     // as a process-killing SIGPIPE.
     const ssize_t n = ::sendmsg(p.fd, &mh, MSG_NOSIGNAL);
     if (n > 0) {
-      if (paced) p.shaper->refund(budget - static_cast<std::size_t>(n));
       consume_written(p, static_cast<std::size_t>(n));
       continue;
     }
-    if (paced) p.shaper->refund(budget);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     disconnect(p, "write error");
     return;
   }
+  // A released frame that hit EAGAIN waits for EPOLLOUT; an unreleased
+  // delay-line head waits for its release time.
+  if (p.shaper && !p.has_inflight && !p.delayed.empty() &&
+      p.delayed.front().ready_at > now) {
+    wake = std::min(wake, p.delayed.front().ready_at);
+  }
+  if (wake != kNever) schedule_shape_wake(p, wake);
   update_interest(p);
 }
 
 void TcpEnv::schedule_shape_wake(Peer& p, double when) {
+  // Keep a pending wake unless this one is earlier: an early wake only
+  // re-runs flush_writes, which plans the next one.
   EventLoop& owner = owner_loop(p.id);
-  if (p.shape_timer != 0) owner.cancel_timer(p.shape_timer);
+  if (p.shape_timer != 0) {
+    if (p.shape_wake_at <= when) return;
+    owner.cancel_timer(p.shape_timer);
+  }
   const int id = p.id;
+  p.shape_wake_at = when;
   p.shape_timer = owner.at(when, [this, id] {
     Peer& q = peer(id);
     q.shape_timer = 0;
-    q.shaper_blocked = false;
     if (q.fd >= 0 && !q.connecting) flush_writes(q);
   });
 }
 
 void TcpEnv::consume_written(Peer& p, std::size_t n) {
-  // Pop order mirrors the gather order in flush_writes: the inflight frame,
-  // then High in queue order, then Low in (order, seq) order. Only the last
+  // Pop order mirrors the gather order in flush_writes. Only the last
   // partially-written frame stays behind as the new inflight.
   while (n > 0) {
-    if (!p.has_inflight) {
-      if (!p.high.empty()) {
-        p.inflight = std::move(p.high.front());
-        p.high.pop_front();
-      } else {
-        p.inflight = std::move(p.low.begin()->second);
-        p.low.erase(p.low.begin());
-      }
-      p.has_inflight = true;
-      p.inflight_off = 0;
-    }
+    if (!p.has_inflight) pop_next(p);
     const std::size_t frame_size = p.inflight.size();
     const std::size_t remaining = frame_size - p.inflight_off;
     if (n >= remaining) {
@@ -708,7 +702,6 @@ void TcpEnv::disconnect(Peer& p, const char* /*why*/) {
     owner.cancel_timer(p.shape_timer);
     p.shape_timer = 0;
   }
-  p.shaper_blocked = false;
   p.stats.connected.store(false, relaxed);
   // The reader is NOT reset here: disconnect() can fire from inside this
   // peer's own drain_frames (a receiver callback sends, the send hits a
@@ -775,13 +768,14 @@ void TcpEnv::on_dial_connected(Peer& p) {
   p.connecting = false;
   p.established_at = owner_loop(p.id).now();
   p.stats.connected.store(true, relaxed);
-  // The handshake frame goes out before anything queued while disconnected.
+  // The handshake frame goes out before anything queued while disconnected
+  // (unpaid, and released at once on a shaped peer).
   const Bytes hello = encode_hello(static_cast<std::uint32_t>(self_));
   OutFrame f;
   f.header_len = static_cast<std::uint8_t>(hello.size());
   std::memcpy(f.header.data(), hello.data(), hello.size());
   p.stats.queued_bytes.fetch_add(f.size(), relaxed);
-  p.high.push_front(std::move(f));
+  (p.shaper ? p.delayed : p.high).push_front(std::move(f));
   flush_writes(p);
 }
 

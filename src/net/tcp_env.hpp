@@ -28,10 +28,22 @@
 // original single-threaded behavior, bit for bit.
 //
 // Delivery model per peer, mirroring the simulator's FluidLink scheduling:
-// High-class frames (dispersal + agreement) drain strictly before Low-class
-// frames (retrieval), and Low frames drain in (order, enqueue-seq) order
-// with O(1)-amortized cancellation by tag — the paper's prioritization (§5)
-// and cancel-on-decode (§6.3) on a real socket.
+// High-class frames (dispersal + agreement) go before Low-class frames
+// (retrieval), and Low frames go in (order, enqueue-seq) order; cancellation
+// by tag scans the Low queues of the owner loop's peers and removes every
+// unstarted match — the paper's prioritization (§5) and cancel-on-decode
+// (§6.3) on a real socket. An unshaped peer drains these queues straight
+// into the socket. A shaped peer (a [[link]] rule) runs two stages, like a
+// link that serializes a frame and then propagates it:
+//   pay    — frames buy their bytes from the LinkShaper token bucket one
+//            frame at a time, in the same High-then-Low order. A High frame
+//            preempts a partly paid Low frame: nothing of it has reached the
+//            socket yet.
+//   delay  — a fully paid frame joins a per-peer FIFO and is released at
+//            max(paid_at + delay draw, previous release), so jitter never
+//            reorders frames to one peer.
+// The writer sends released frames only. The link therefore keeps paying for
+// the next frame while earlier ones wait out their delay.
 //
 // Fault handling: a broken or garbled connection is torn down; the dialing
 // side redials with exponential backoff (the accepting side simply waits).
@@ -141,7 +153,7 @@ class TcpEnv final : public runtime::Env {
     std::uint64_t reconnects = 0;
     std::uint64_t shaped_drops = 0;   // frames killed by loss/mute injection
     std::uint64_t shaped_drop_bytes = 0;
-    std::uint64_t shaper_waits = 0;   // drain pauses waiting on the bucket
+    std::uint64_t shaper_waits = 0;   // pay-stage pauses waiting on the bucket
   };
   // Both are thread-safe snapshots (relaxed counters — may trail the owner
   // loop by a few frames, never torn).
@@ -176,8 +188,10 @@ class TcpEnv final : public runtime::Env {
     std::uint8_t header_len = 0;
     std::shared_ptr<const Bytes> body;
     std::uint64_t tag = 0;
-    // Earliest time the first byte may hit the wire (link delay + jitter);
-    // 0 = immediately. Stamped at enqueue, enforced at the drain.
+    // Shaped peers only. `paid`: bytes already bought from the bucket.
+    // `ready_at`: release time from the delay line, stamped once the frame
+    // is fully paid (0 = immediately, as for the Hello).
+    std::size_t paid = 0;
     double ready_at = 0;
 
     std::size_t size() const {
@@ -212,9 +226,12 @@ class TcpEnv final : public runtime::Env {
     bool connecting = false;  // nonblocking connect in flight
     bool want_write = false;
     FrameReader reader;
-    // Queues: High drains before Low; Low ordered by (order, seq).
+    // Queues: High drains before Low; Low ordered by (order, seq). On a
+    // shaped peer these are the pay queues and `delayed` is the delay line.
     std::deque<OutFrame> high;
     std::map<std::pair<std::uint64_t, std::uint64_t>, OutFrame> low;
+    std::deque<OutFrame> delayed;  // paid, FIFO with non-decreasing ready_at
+    double last_release = 0;       // ready_at of the newest delayed frame
     OutFrame inflight;          // partially written head frame
     std::size_t inflight_off = 0;
     bool has_inflight = false;
@@ -225,8 +242,8 @@ class TcpEnv final : public runtime::Env {
     // matching [[link]] rule names a destination; shared across this node's
     // peers (one aggregate egress bucket, like FluidLink) when it does not.
     std::shared_ptr<LinkShaper> shaper;
-    std::uint64_t shape_timer = 0;  // pending drain wake, owner-loop timer
-    bool shaper_blocked = false;    // drain paused: gate EPOLLOUT off
+    std::uint64_t shape_timer = 0;  // pending pay/release wake, owner loop
+    double shape_wake_at = 0;       // when shape_timer fires
     PeerCounters stats;
   };
 
@@ -268,6 +285,9 @@ class TcpEnv final : public runtime::Env {
   void setup_shapers();
   void collect_shapers();  // dedups peer buckets into shapers_
   void schedule_shape_wake(Peer& p, double when);
+  double pay_frames(Peer& p, double now);
+  bool has_sendable(const Peer& p, double now) const;
+  void pop_next(Peer& p);
   void enqueue(Peer& p, OutFrame frame, const runtime::SendOpts& opts);
   void enqueue_and_flush(Peer& p, OutFrame frame, const runtime::SendOpts& opts);
   void deliver_local(std::shared_ptr<const Bytes> env_bytes);

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,16 @@ ClusterConfig loopback_cluster(int n) {
   for (int i = 0; i < n; ++i) {
     cfg.nodes.push_back({i, "127.0.0.1", 0});  // port 0: pick at bind time
   }
+  return cfg;
+}
+
+// Every node's egress through one shared bucket (a wildcard [[link]]).
+ClusterConfig shaped_cluster(int n, double bytes_per_sec, double delay_ms) {
+  ClusterConfig cfg = loopback_cluster(n);
+  LinkShapeRule rule;
+  rule.schedule.rates = {bytes_per_sec};
+  rule.delay_ms = delay_ms;
+  cfg.links.push_back(rule);
   return cfg;
 }
 
@@ -148,6 +159,138 @@ TEST(TcpEnv, TwoNodeRequestResponseAndLocalLoopback) {
   EXPECT_EQ(envs[1]->connected_peers(), 1);
 }
 
+// Runs `loop` until `done()` holds (polled every 10 ms) or `timeout`
+// seconds pass; returns whether `done()` held.
+bool run_until(EventLoop& loop, double timeout, std::function<bool()> done) {
+  bool ok = false;
+  std::uint64_t next_poll = 0;
+  std::function<void()> poll = [&] {
+    if (done()) {
+      ok = true;
+      loop.stop();
+      return;
+    }
+    next_poll = loop.after(0.01, poll);
+  };
+  next_poll = loop.after(0.0, poll);
+  const std::uint64_t watchdog = loop.after(timeout, [&loop] { loop.stop(); });
+  loop.run();
+  // Neither timer may outlive this frame's `poll` and `done`.
+  loop.cancel_timer(next_poll);
+  loop.cancel_timer(watchdog);
+  return ok;
+}
+
+bool both_connected(const std::vector<std::unique_ptr<TcpEnv>>& envs) {
+  return envs[0]->connected_peers() == 1 && envs[1]->connected_peers() == 1;
+}
+
+// Records each envelope's epoch, body size and arrival time.
+struct TimedRecorder final : runtime::Receiver {
+  EventLoop* loop = nullptr;
+  struct Arrival {
+    std::uint64_t epoch;
+    std::size_t body_bytes;
+    double at;
+  };
+  std::vector<Arrival> got;
+
+  void on_receive(int /*from*/, ByteView bytes) override {
+    auto e = Envelope::decode(bytes);
+    ASSERT_TRUE(e.has_value());
+    got.push_back({e->epoch, e->body.size(), loop->now()});
+  }
+};
+
+TEST(TcpEnv, ShapedHighOvertakesPartlyPaidLow) {
+  // At 1 MB/s a 600 KB Low frame takes ~0.6 s to pay for. A High frame
+  // enqueued 0.1 s into that payment is paid first, so it reaches the peer
+  // first although the Low frame was queued earlier.
+  EventLoop loop;
+  auto envs = make_envs(loop, shaped_cluster(2, 1e6, 20));
+  Recorder r0, r1;
+  r0.env = envs[0].get();
+  r1.env = envs[1].get();
+  envs[0]->start(r0);
+  envs[1]->start(r1);
+  ASSERT_TRUE(run_until(loop, 5.0, [&] { return both_connected(envs); }));
+
+  constexpr std::uint64_t kLowEpoch = 1;
+  constexpr std::uint64_t kHighEpoch = 2;
+  runtime::SendOpts low;
+  low.cls = runtime::TrafficClass::Low;
+  envs[1]->send(0, test_envelope(kLowEpoch, std::string(600 * 1024, 'l')), low);
+  loop.after(0.1, [&] { envs[1]->send(0, test_envelope(kHighEpoch, "h"), {}); });
+  ASSERT_TRUE(run_until(loop, 10.0, [&] { return r0.got.size() >= 2; }));
+
+  ASSERT_EQ(r0.got.size(), 2u);
+  EXPECT_EQ(r0.got[0].second.epoch, kHighEpoch);
+  EXPECT_EQ(r0.got[1].second.epoch, kLowEpoch);
+}
+
+TEST(TcpEnv, ShapedDelayOverlapsTransmission) {
+  // A Low backlog stays queued while a High frame goes out every 5 ms. Each
+  // frame waits out its 20 ms delay after it is paid, while the bucket pays
+  // for the next ones, so the Low class keeps nearly the whole rate. No
+  // frame may beat its delay.
+  constexpr double kRate = 1e6;  // bytes/s
+  constexpr double kDelay = 0.020;
+  constexpr double kRun = 2.0;
+  constexpr std::size_t kLowBody = 16 * 1024;
+  constexpr std::size_t kBacklog = 256 * 1024;
+
+  EventLoop loop;
+  auto envs = make_envs(loop, shaped_cluster(2, kRate, kDelay * 1000));
+  TimedRecorder r0;
+  Recorder r1;
+  r0.loop = &loop;
+  r1.env = envs[1].get();
+  envs[0]->start(r0);
+  envs[1]->start(r1);
+  ASSERT_TRUE(run_until(loop, 5.0, [&] { return both_connected(envs); }));
+
+  // Epochs identify frames: odd = Low, even = High.
+  std::map<std::uint64_t, double> enqueued_at;
+  std::uint64_t next_low = 1;
+  std::uint64_t next_high = 2;
+  runtime::SendOpts low;
+  low.cls = runtime::TrafficClass::Low;
+  const double t0 = loop.now();
+  std::function<void()> tick = [&] {
+    if (loop.now() >= t0 + kRun) return;
+    enqueued_at[next_high] = loop.now();
+    envs[1]->send(0, test_envelope(next_high, "h"), {});
+    next_high += 2;
+    while (envs[1]->peer_stats(0).queued_bytes < kBacklog) {
+      enqueued_at[next_low] = loop.now();
+      envs[1]->send(0, test_envelope(next_low, std::string(kLowBody, 'l')), low);
+      next_low += 2;
+    }
+    loop.after(0.005, tick);
+  };
+  loop.after(0.0, tick);
+  // Frames paid by the end of the run arrive within one delay of it.
+  const double t_end = t0 + kRun + kDelay;
+  loop.at(t_end + 0.1, [&loop] { loop.stop(); });
+  loop.run();
+
+  std::size_t low_bytes = 0;
+  std::size_t highs = 0;
+  for (const TimedRecorder::Arrival& a : r0.got) {
+    ASSERT_TRUE(enqueued_at.count(a.epoch)) << "unknown epoch " << a.epoch;
+    EXPECT_GE(a.at - enqueued_at[a.epoch], kDelay - 1e-9)
+        << "epoch " << a.epoch << " beat the link delay";
+    if (a.epoch % 2 == 0) {
+      ++highs;
+    } else if (a.at <= t_end) {
+      low_bytes += a.body_bytes;
+    }
+  }
+  EXPECT_GT(highs, 0u);
+  EXPECT_GE(static_cast<double>(low_bytes) / kRun, 0.85 * kRate)
+      << "Low goodput starved behind delayed High frames";
+}
+
 TEST(TcpEnv, ReconnectAfterDrop) {
   EventLoop loop;
   const ClusterConfig cfg = loopback_cluster(2);
@@ -267,12 +410,13 @@ TEST(TcpEnv, HandshakeTimeoutClosesSilentConnections) {
 // each replica's peer connections on private transport threads (per-peer
 // loop affinity); the ledger outcome must be indistinguishable from the
 // single-loop build.
-void run_four_node_cluster(int net_loops) {
+void run_four_node_cluster(int net_loops, bool shaped = false) {
   constexpr int kN = 4;
   constexpr std::uint64_t kTargetEpochs = 25;
 
   EventLoop loop;
-  const ClusterConfig cfg = loopback_cluster(kN);
+  const ClusterConfig cfg =
+      shaped ? shaped_cluster(kN, 4e6, 5) : loopback_cluster(kN);
   TcpEnv::Options opt;
   opt.net_loops = net_loops;
   auto envs = make_envs(loop, cfg, opt);
@@ -461,6 +605,13 @@ TEST(TcpCluster, MuteAndSlowDripNodesToleratedWithIdenticalPrefixes) {
 // delivery back to the home loop. In the TSan CI matrix.
 TEST(TcpCluster, FourNodeLedgerPrefixAgreementTwoNetLoops) {
   run_four_node_cluster(2);
+}
+
+// The two-loop cluster with every node's egress shaped through one shared
+// bucket (rate + delay): both transport loops of a node pay from the same
+// LinkShaper and each runs its own peers' delay lines. In the TSan CI matrix.
+TEST(TcpCluster, FourNodeShapedLedgerPrefixAgreementTwoNetLoops) {
+  run_four_node_cluster(2, /*shaped=*/true);
 }
 
 }  // namespace

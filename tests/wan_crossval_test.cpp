@@ -16,9 +16,8 @@
 //    backends — but only a factor-4 quantitative band, because the fluid
 //    model differs structurally from a real TCP stack once queues build:
 //    FluidLink shares capacity High:Low at weight_high=30 while TcpEnv
-//    drains strict-priority, and the sim applies propagation delay after
-//    full serialization while the real shaper's delay stamp is absorbed
-//    into queueing. See docs/PERF.md ("Sim-vs-real cross-validation").
+//    pays for frames in strict priority. See docs/PERF.md ("WAN shaping
+//    and sim-vs-real cross-validation").
 #include <gtest/gtest.h>
 
 #include <memory>
