@@ -1,9 +1,8 @@
 // micro_loop — event-loop mailbox and wake-path microbenchmarks.
 //
-// The replica data plane leans on EventLoop::post for every cross-thread
-// hop: transport loops batching received frames home, and the node loop
-// fanning broadcasts out to the transport tier. This bench pins the primitive costs behind those
-// hops:
+// Every cross-thread hop in a multi-loop process (lb_client's worker loops,
+// TcpEnv::defer from a foreign thread) goes through EventLoop::post. This
+// bench pins the primitive costs behind those hops:
 //
 //   post_spsc_{mutex,mpsc}   one producer thread pushing closures through the
 //                            FULL cross-thread post path — mailbox plus wake
@@ -22,8 +21,7 @@
 //                            EventLoop, measuring post -> task-runs latency
 //                            (ops are round trips; read latency as 1/rate).
 //   fanout4                  one thread posting a closure to 4 live loops
-//                            per round — the broadcast fan-out shape of
-//                            TcpEnv with --net-loops 4.
+//                            per round — a fan-out to several loops.
 //
 // Rows are dl-perf-v1 (BENCH_micro_loop.{json,csv}); see docs/PERF.md.
 // Run solo: mailbox contention benches are meaningless while another build
@@ -228,8 +226,8 @@ dl::runner::PerfRow wake_latency_row(std::uint64_t rounds) {
   return {"wake_latency", "roundtrips", rounds, wall};
 }
 
-// Broadcast fan-out: each round posts one closure to each of 4 live loops
-// and waits for all to run — the shape of TcpEnv::broadcast at net_loops=4.
+// Fan-out: each round posts one closure to each of 4 live loops
+// and waits for all to run.
 dl::runner::PerfRow fanout_row(std::uint64_t rounds) {
   constexpr int kLoops = 4;
   std::vector<std::unique_ptr<EventLoop>> loops;

@@ -20,11 +20,10 @@
 //     --tx-interval-ms), for self-contained smoke runs with no external
 //     load source.
 //
-// Threads: client ingress, the protocol and all erasure coding / Merkle
-// hashing run on the node's one event loop; only --net-loops K >= 2 adds
-// threads (replica transport loops). --loops and --workers are still parsed
-// so old launch lines keep working, but accept only their single-loop
-// values (1 and 0).
+// Threads: one. Client ingress, peer sockets, the protocol and all erasure
+// coding / Merkle hashing run on the node's one event loop. --loops,
+// --workers and --net-loops are still parsed so old launch lines keep
+// working, but accept only their single-loop values (1, 0 and 1).
 //
 // Lifecycle: with --target-epochs E the process exits 0 once it delivered E
 // epochs, after a --linger-seconds grace during which it keeps serving
@@ -78,7 +77,7 @@ struct Flags {
   bool quiet = false;
   int loops = 1;      // removed tier: only 1 is accepted
   int workers = 0;    // removed tier: only 0 is accepted
-  int net_loops = 1;  // replica transport loops (>= 2: own threads)
+  int net_loops = 1;  // removed tier: only 1 is accepted
   std::string adversary;  // deviation spec; empty = honest
   int admin_port = -1;     // <0 = no admin endpoint; 0 = ephemeral port
   double stats_interval = 0;  // seconds; 0 = no periodic delta line
@@ -98,12 +97,10 @@ void usage(const char* argv0) {
       "  --propose-delay-ms M   proposal pacing delay (default 20)\n"
       "  --propose-size B       proposal pacing size trigger (default 32768)\n"
       "  --max-block-bytes B    block size cap (default 262144)\n"
-      "  --loops 1              accepted for old launch lines; ingress always runs\n"
-      "                         on the node loop (other values: error)\n"
-      "  --workers 0            accepted for old launch lines; coding always runs\n"
-      "                         on the node loop (other values: error)\n"
-      "  --net-loops K          replica transport event loops (default 1; >=2\n"
-      "                         pins each peer connection to loop id%%K)\n"
+      "  --loops 1 --workers 0 --net-loops 1\n"
+      "                         accepted for old launch lines; ingress, coding\n"
+      "                         and peer sockets always run on the node loop\n"
+      "                         (other values: error)\n"
       "  --ledger FILE          write the committed-ledger log here\n"
       "  --store DIR            durable ledger store: persist committed blocks\n"
       "                         under DIR and recover the prefix at boot\n"
@@ -186,15 +183,15 @@ bool parse_flags(int argc, char** argv, Flags& f) {
       return false;
     }
   }
-  if (f.loops != 1 || f.workers != 0) {
+  if (f.loops != 1 || f.workers != 0 || f.net_loops != 1) {
     std::fprintf(stderr,
-                 "%s: --loops %d --workers %d: the ingress-shard and coding-"
-                 "pool tiers were removed; only --loops 1 --workers 0 are "
-                 "accepted (use --net-loops for transport threads)\n",
-                 argv[0], f.loops, f.workers);
+                 "%s: --loops %d --workers %d --net-loops %d: the ingress-"
+                 "shard, coding-pool and transport-loop tiers were removed; "
+                 "only --loops 1 --workers 0 --net-loops 1 are accepted\n",
+                 argv[0], f.loops, f.workers, f.net_loops);
     return false;
   }
-  if (f.config.empty() || f.id < 0 || f.net_loops < 1 ||
+  if (f.config.empty() || f.id < 0 ||
       f.admin_port > 65535 || f.stats_interval < 0 ||
       !dl::storage::parse_fsync_policy(f.fsync).has_value()) {
     usage(argv[0]);
@@ -294,10 +291,9 @@ int main(int argc, char** argv) {
 
   const net::NodeAddr& me = cluster->nodes[static_cast<std::size_t>(flags.id)];
 
-  // Block SIGINT/SIGTERM/SIGUSR1 before ANY thread exists (transport
-  // loops): spawned threads inherit the mask, so a signal can only ever be
-  // consumed through the signalfd below — never delivered to a transport
-  // thread where the default disposition would kill the process
+  // Block SIGINT/SIGTERM/SIGUSR1 so a signal can only ever be consumed
+  // through the signalfd below, on the loop — never delivered
+  // asynchronously, where the default disposition would kill the process
   // mid-ledger-line. SIGUSR1 asks for a metrics snapshot, not shutdown.
   sigset_t sigmask;
   sigemptyset(&sigmask);
@@ -319,7 +315,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::AdminServer> admin;
   try {
     net::TcpEnv::Options eopt;
-    eopt.net_loops = flags.net_loops;
     if (adv.kind == adversary::RealAdversary::Kind::Mute) {
       eopt.adversary = net::WireAdversary::Mute;
     } else if (adv.kind == adversary::RealAdversary::Kind::SlowDrip) {

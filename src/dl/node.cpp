@@ -311,9 +311,9 @@ void DlNode::propose_now() {
 
   // Disperse(B) as the client of our own VID instance. The erasure encode
   // and Merkle build (one batched tree per block) are the CPU-heavy half of
-  // proposing, so they go through the executor seam: off-loop when the Env
-  // has a worker pool, inline (identical event order) otherwise. The work
-  // closure touches only value captures and immutable config.
+  // proposing, so they go through the executor seam; both shipped Envs run
+  // it inline. The work closure touches only value captures and immutable
+  // config.
   auto enc = std::make_shared<const Bytes>(std::move(encoded));
   auto chunks = std::make_shared<std::vector<vid::ChunkMsg>>();
   env_.offload(

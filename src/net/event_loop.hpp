@@ -1,9 +1,9 @@
 // Epoll event loop with timerfd-backed timers and a thread-safe mailbox.
 //
 // This is the real-time analogue of sim::EventQueue: a clock that starts
-// near zero, ordered timers, and fd readiness callbacks. A process may run
-// several loops (dlnoded's home loop plus its --net-loops replica transport
-// loops); all loops in one process share a single clock epoch, so `now()`
+// near zero, ordered timers, and fd readiness callbacks. A replica runs on
+// one loop; a process may still run several (lb_client runs one per worker
+// thread). All loops in one process share a single clock epoch, so `now()`
 // values taken on different loops are directly comparable (cross-loop stage
 // timing depends on this).
 //

@@ -25,11 +25,6 @@ constexpr std::size_t kMaxPreAuthBytes = 4096;
 // Scatter-gather width per sendmsg: each frame contributes at most two
 // iovecs (prefix slab + body reference).
 constexpr std::size_t kMaxIov = 64;
-// Receive batches cross from a transport loop to the home loop in pooled
-// buffers of at least this capacity (bigger frames get a bigger buffer).
-constexpr std::size_t kRecvBatchBytes = 64u << 10;
-
-constexpr auto relaxed = std::memory_order_relaxed;
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
 }  // namespace
@@ -39,14 +34,9 @@ TcpEnv::TcpEnv(EventLoop& loop, ClusterConfig cfg, int self, Options opt)
   if (self_ < 0 || self_ >= cfg_.n) {
     throw std::invalid_argument("TcpEnv: self out of range");
   }
-  if (opt_.net_loops > cfg_.n) opt_.net_loops = cfg_.n;
-  if (opt_.net_loops >= 2) {
-    for (int k = 0; k < opt_.net_loops; ++k) {
-      tloops_.push_back(std::make_unique<EventLoop>());
-    }
-  }
+  peers_.resize(static_cast<std::size_t>(cfg_.n));
   for (int i = 0; i < cfg_.n; ++i) {
-    Peer& p = peers_.emplace_back();
+    Peer& p = peer(i);
     p.id = i;
     p.addr = cfg_.nodes[static_cast<std::size_t>(i)];
     p.dialer = i < self_;
@@ -78,22 +68,6 @@ TcpEnv::TcpEnv(EventLoop& loop, ClusterConfig cfg, int self, Options opt)
 }
 
 TcpEnv::~TcpEnv() {
-  if (multi()) {
-    // Quiesce the transport tier first: once the loop threads are joined,
-    // no other thread can touch peer or pending state and the fds can be
-    // closed from here without epoll bookkeeping.
-    for (auto& l : tloops_) l->stop();
-    for (auto& t : tthreads_) t.join();
-    for (Peer& p : peers_) {
-      if (p.fd >= 0) {
-        close(p.fd);
-        p.fd = -1;
-      }
-    }
-    for (auto& [fd, pa] : pending_) close(fd);
-    if (listen_fd_ >= 0) close(listen_fd_);
-    return;
-  }
   for (Peer& p : peers_) {
     if (p.fd >= 0) {
       if (started_) loop_.del_fd(p.fd);
@@ -201,33 +175,14 @@ void TcpEnv::setup_shapers() {
 void TcpEnv::start(runtime::Receiver& r) {
   if (started_) return;
   started_ = true;
-  receiver_ = &r;  // published by the posts below before any callback fires
-  if (!multi()) {
-    loop_.post([this] {
-      loop_.add_fd(listen_fd_, EPOLLIN,
-                   [this](std::uint32_t ev) { handle_listener(ev); });
-      for (Peer& p : peers_) {
-        if (p.dialer) dial(p);
-      }
-      if (receiver_ != nullptr) receiver_->start();
-    });
-    return;
-  }
-  for (std::size_t k = 0; k < tloops_.size(); ++k) {
-    tloops_[k]->post([this, k] {
-      if (k == 0) {
-        listener_loop().add_fd(listen_fd_, EPOLLIN, [this](std::uint32_t ev) {
-          handle_listener(ev);
-        });
-      }
-      for (Peer& p : peers_) {
-        if (p.dialer && owner_index(p.id) == k) dial(p);
-      }
-    });
-    tthreads_.emplace_back([l = tloops_[k].get()] { l->run(); });
-  }
+  receiver_ = &r;  // published by the post below before any callback fires
   loop_.post([this] {
-    if (receiver_ != nullptr) receiver_->start();
+    loop_.add_fd(listen_fd_, EPOLLIN,
+                 [this](std::uint32_t ev) { handle_listener(ev); });
+    for (Peer& p : peers_) {
+      if (p.dialer) dial(p);
+    }
+    receiver_->start();
   });
 }
 
@@ -264,14 +219,7 @@ void TcpEnv::send(int to, Envelope&& env, const runtime::SendOpts& opts) {
     deliver_local(std::make_shared<const Bytes>(env.encode()));
     return;
   }
-  OutFrame f = make_data_frame(std::move(env), opts.tag);
-  if (!multi()) {
-    enqueue_and_flush(peer(to), std::move(f), opts);
-    return;
-  }
-  owner_loop(to).post([this, to, f = std::move(f), opts]() mutable {
-    enqueue_and_flush(peer(to), std::move(f), opts);
-  });
+  enqueue_and_flush(peer(to), make_data_frame(std::move(env), opts.tag), opts);
 }
 
 void TcpEnv::broadcast(const Envelope& env, const runtime::SendOpts& opts) {
@@ -294,50 +242,26 @@ void TcpEnv::broadcast(Envelope&& env, const runtime::SendOpts& opts) {
   proto.header[4] = static_cast<std::uint8_t>(WireKind::Data);
   proto.body = std::move(env_bytes);
   proto.tag = opts.tag;
-  if (!multi()) {
-    for (Peer& p : peers_) {
-      if (p.id == self_) continue;
-      enqueue_and_flush(p, OutFrame(proto), opts);
-    }
-    return;
-  }
-  // One mailbox push per transport loop; each loop fans out to the peers it
-  // owns, so a broadcast costs K posts, not N.
-  for (std::size_t k = 0; k < tloops_.size(); ++k) {
-    tloops_[k]->post([this, k, proto, opts] {
-      for (Peer& p : peers_) {
-        if (p.id == self_ || owner_index(p.id) != k) continue;
-        enqueue_and_flush(p, OutFrame(proto), opts);
-      }
-    });
+  for (Peer& p : peers_) {
+    if (p.id == self_) continue;
+    enqueue_and_flush(p, OutFrame(proto), opts);
   }
 }
 
-void TcpEnv::cancel_send_on(std::size_t loop_idx, std::uint64_t tag) {
+void TcpEnv::cancel_send(std::uint64_t tag) {
+  if (tag == 0) return;
   for (Peer& p : peers_) {
-    if (multi() && owner_index(p.id) != loop_idx) continue;
     for (auto it = p.low.begin(); it != p.low.end();) {
       // A partly paid frame is already on the emulated wire and keeps going,
       // like the message in service in FluidLink::cancel.
       if (it->second.tag == tag && it->second.paid == 0) {
-        p.stats.queued_bytes.fetch_sub(it->second.size(), relaxed);
+        p.stats.queued_bytes -= it->second.size();
         it = p.low.erase(it);
       } else {
         ++it;
       }
     }
     if (p.fd >= 0 && !p.connecting) update_interest(p);
-  }
-}
-
-void TcpEnv::cancel_send(std::uint64_t tag) {
-  if (tag == 0) return;
-  if (!multi()) {
-    cancel_send_on(0, tag);
-    return;
-  }
-  for (std::size_t k = 0; k < tloops_.size(); ++k) {
-    tloops_[k]->post([this, k, tag] { cancel_send_on(k, tag); });
   }
 }
 
@@ -358,34 +282,34 @@ void TcpEnv::enqueue(Peer& p, OutFrame frame, const runtime::SendOpts& opts) {
   if (opt_.adversary == WireAdversary::Mute) {
     // Mute-but-connected: the connection and Hello stay perfectly healthy
     // (the Hello never passes through enqueue), every Data frame dies here.
-    p.stats.shaped_drops.fetch_add(1, relaxed);
-    p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
+    ++p.stats.shaped_drops;
+    p.stats.shaped_drop_bytes += size;
     return;
   }
   if (p.shaper && p.shaper->lose_frame(size)) {
-    p.stats.shaped_drops.fetch_add(1, relaxed);
-    p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
+    ++p.stats.shaped_drops;
+    p.stats.shaped_drop_bytes += size;
     return;
   }
   if (size > opt_.max_frame_bytes + kFrameHeaderBytes) {
     // Never emit a frame every receiver is obliged to reject — that would
     // tear the connection down on each retry and livelock the pair.
-    p.stats.dropped_frames.fetch_add(1, relaxed);
-    p.stats.dropped_bytes.fetch_add(size, relaxed);
+    ++p.stats.dropped_frames;
+    p.stats.dropped_bytes += size;
     return;
   }
-  if (p.stats.queued_bytes.load(relaxed) + size > opt_.max_queue_bytes) {
+  if (p.stats.queued_bytes + size > opt_.max_queue_bytes) {
     // Backpressure: the peer is slow or gone and its queue is full. Drop and
     // account — the protocol layers tolerate message loss.
-    p.stats.dropped_frames.fetch_add(1, relaxed);
-    p.stats.dropped_bytes.fetch_add(size, relaxed);
+    ++p.stats.dropped_frames;
+    p.stats.dropped_bytes += size;
     return;
   }
-  p.stats.queued_bytes.fetch_add(size, relaxed);
+  p.stats.queued_bytes += size;
   if (opts.cls == runtime::TrafficClass::High) {
     p.high.push_back(std::move(frame));
   } else {
-    p.low.emplace(std::make_pair(opts.order, next_low_seq_.fetch_add(1, relaxed)),
+    p.low.emplace(std::make_pair(opts.order, next_low_seq_++),
                   std::move(frame));
   }
 }
@@ -419,14 +343,14 @@ void TcpEnv::update_interest(Peer& p) {
   // EPOLLOUT only while there is something to send now: a shaped peer
   // waiting on its bucket or delay line would otherwise spin the loop on an
   // always-writable socket; the shape timer calls flush_writes instead.
-  const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
+  const double now = p.shaper ? loop_.now() : 0.0;
   const bool want =
       p.connecting || p.has_inflight || has_sendable(p, now);
   const std::uint32_t events =
       EPOLLIN | (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   if (want == p.want_write) return;
   p.want_write = want;
-  owner_loop(p.id).mod_fd(p.fd, events);
+  loop_.mod_fd(p.fd, events);
 }
 
 void TcpEnv::add_iov(const OutFrame& f, std::size_t off, iovec* iov,
@@ -456,7 +380,7 @@ double TcpEnv::pay_frames(Peer& p, double now) {
     if (!sh.unlimited_rate()) {
       const std::size_t got = sh.take(now, f.size() - f.paid);
       if (got == 0) {
-        p.stats.shaper_waits.fetch_add(1, relaxed);
+        ++p.stats.shaper_waits;
         return sh.next_release(now);
       }
       f.paid += got;
@@ -476,7 +400,7 @@ double TcpEnv::pay_frames(Peer& p, double now) {
 void TcpEnv::flush_writes(Peer& p) {
   // Shaped: first pay for as many queued frames as the bucket allows, then
   // write whatever the delay line has released.
-  const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
+  const double now = p.shaper ? loop_.now() : 0.0;
   double wake = p.shaper ? pay_frames(p, now) : kNever;
   while (p.fd >= 0) {
     if (!p.has_inflight) {
@@ -531,14 +455,13 @@ void TcpEnv::flush_writes(Peer& p) {
 void TcpEnv::schedule_shape_wake(Peer& p, double when) {
   // Keep a pending wake unless this one is earlier: an early wake only
   // re-runs flush_writes, which plans the next one.
-  EventLoop& owner = owner_loop(p.id);
   if (p.shape_timer != 0) {
     if (p.shape_wake_at <= when) return;
-    owner.cancel_timer(p.shape_timer);
+    loop_.cancel_timer(p.shape_timer);
   }
   const int id = p.id;
   p.shape_wake_at = when;
-  p.shape_timer = owner.at(when, [this, id] {
+  p.shape_timer = loop_.at(when, [this, id] {
     Peer& q = peer(id);
     q.shape_timer = 0;
     if (q.fd >= 0 && !q.connecting) flush_writes(q);
@@ -554,9 +477,9 @@ void TcpEnv::consume_written(Peer& p, std::size_t n) {
     const std::size_t remaining = frame_size - p.inflight_off;
     if (n >= remaining) {
       n -= remaining;
-      p.stats.sent_frames.fetch_add(1, relaxed);
-      p.stats.sent_bytes.fetch_add(frame_size, relaxed);
-      p.stats.queued_bytes.fetch_sub(frame_size, relaxed);
+      ++p.stats.sent_frames;
+      p.stats.sent_bytes += frame_size;
+      p.stats.queued_bytes -= frame_size;
       p.has_inflight = false;
       p.inflight = OutFrame{};
     } else {
@@ -568,68 +491,26 @@ void TcpEnv::consume_written(Peer& p, std::size_t n) {
 
 // --- read path ---------------------------------------------------------------
 
-void TcpEnv::batch_add(RecvBatch& b, int from, ByteView frame) {
-  if (!b.buf || b.used + frame.size() > b.buf.capacity()) {
-    post_batch(b);
-    b.buf = PooledBuf(std::max(frame.size(), kRecvBatchBytes));
-    b.used = 0;
-  }
-  b.from = from;
-  if (!frame.empty()) {
-    std::memcpy(b.buf.data() + b.used, frame.data(), frame.size());
-  }
-  b.spans.emplace_back(static_cast<std::uint32_t>(b.used),
-                       static_cast<std::uint32_t>(frame.size()));
-  b.used += frame.size();
-}
-
-void TcpEnv::post_batch(RecvBatch& b) {
-  if (b.spans.empty()) return;
-  loop_.post([this, from = b.from, buf = std::move(b.buf),
-              spans = std::move(b.spans)] {
-    if (receiver_ == nullptr) return;
-    for (const auto& [off, len] : spans) {
-      receiver_->on_receive(from, ByteView(buf.data() + off, len));
-    }
-    // `buf` recycles to the pool here, on the home thread — the pool's
-    // global tier makes it reusable by the transport loop that filled it.
-  });
-  b.buf = PooledBuf();
-  b.used = 0;
-  b.spans.clear();
-}
-
 bool TcpEnv::drain_frames(Peer& p) {
   ByteView fr;
-  RecvBatch batch;  // multi-loop only; unused (and empty) inline
-  bool ok = true;
   while (p.fd >= 0 && p.reader.next_view(fr)) {
     WireFrame wf;
     if (!decode_wire(fr, wf) || wf.kind != WireKind::Data) {
       disconnect(p, "malformed frame");
-      ok = false;
-      break;
+      return false;
     }
-    p.stats.recv_frames.fetch_add(1, relaxed);
-    p.stats.recv_bytes.fetch_add(fr.size(), relaxed);
-    if (!multi()) {
-      // Inline delivery: the view into the reader's pooled buffer stays
-      // valid for the duration of the callback (nothing feeds the reader
-      // until it returns).
-      if (receiver_ != nullptr) receiver_->on_receive(p.id, wf.data);
-    } else {
-      // Cross-thread delivery: copy into the pooled batch bound for the
-      // home loop. Frames already decoded stay delivered even if a later
-      // frame in this burst kills the connection.
-      batch_add(batch, p.id, wf.data);
-    }
+    ++p.stats.recv_frames;
+    p.stats.recv_bytes += fr.size();
+    // Inline delivery: the view into the reader's pooled buffer stays valid
+    // for the duration of the callback (nothing feeds the reader until it
+    // returns).
+    if (receiver_ != nullptr) receiver_->on_receive(p.id, wf.data);
   }
-  if (ok && p.fd >= 0 && p.reader.failed()) {
+  if (p.fd >= 0 && p.reader.failed()) {
     disconnect(p, "oversized frame");
-    ok = false;
+    return false;
   }
-  if (multi()) post_batch(batch);
-  return ok && p.fd >= 0;
+  return p.fd >= 0;
 }
 
 void TcpEnv::handle_readable(Peer& p) {
@@ -683,26 +564,25 @@ void TcpEnv::handle_peer_event(int id, std::uint32_t events) {
 
 void TcpEnv::disconnect(Peer& p, const char* /*why*/) {
   if (p.fd < 0) return;
-  EventLoop& owner = owner_loop(p.id);
   // A connection that proved itself (stayed up past one full backoff
   // period) earns an instant redial; one that died young — connect refused,
   // handshake rejected by the acceptor, immediate RST — keeps climbing the
   // exponential ladder, so a rejecting peer is not hammered 20x/second.
   const bool was_established = !p.connecting;
   if (was_established &&
-      owner.now() - p.established_at >= opt_.reconnect_max) {
+      loop_.now() - p.established_at >= opt_.reconnect_max) {
     p.backoff = 0;
   }
-  owner.del_fd(p.fd);
+  loop_.del_fd(p.fd);
   close(p.fd);
   p.fd = -1;
   p.connecting = false;
   p.want_write = false;
   if (p.shape_timer != 0) {
-    owner.cancel_timer(p.shape_timer);
+    loop_.cancel_timer(p.shape_timer);
     p.shape_timer = 0;
   }
-  p.stats.connected.store(false, relaxed);
+  p.stats.connected = false;
   // The reader is NOT reset here: disconnect() can fire from inside this
   // peer's own drain_frames (a receiver callback sends, the send hits a
   // write error) while a frame view into the reader's buffer is still live.
@@ -710,14 +590,14 @@ void TcpEnv::disconnect(Peer& p, const char* /*why*/) {
   if (p.has_inflight) {
     // A partially-written frame cannot resume on a fresh connection.
     const std::size_t size = p.inflight.size();
-    p.stats.queued_bytes.fetch_sub(size, relaxed);
-    p.stats.dropped_frames.fetch_add(1, relaxed);
-    p.stats.dropped_bytes.fetch_add(size, relaxed);
+    p.stats.queued_bytes -= size;
+    ++p.stats.dropped_frames;
+    p.stats.dropped_bytes += size;
     p.has_inflight = false;
     p.inflight = OutFrame{};
   }
   if (p.dialer) {
-    p.stats.reconnects.fetch_add(1, relaxed);
+    ++p.stats.reconnects;
     schedule_dial(p);
   }
   // Acceptor side: wait for the dialer to come back.
@@ -727,7 +607,7 @@ void TcpEnv::schedule_dial(Peer& p) {
   p.backoff = p.backoff <= 0 ? opt_.reconnect_min
                              : std::min(p.backoff * 2, opt_.reconnect_max);
   const int id = p.id;
-  p.redial_timer = owner_loop(id).after(p.backoff, [this, id] {
+  p.redial_timer = loop_.after(p.backoff, [this, id] {
     peer(id).redial_timer = 0;
     dial(peer(id));
   });
@@ -758,7 +638,7 @@ void TcpEnv::dial(Peer& p) {
   p.connecting = rc != 0;
   p.want_write = true;
   const int id = p.id;
-  owner_loop(id).add_fd(fd, EPOLLIN | EPOLLOUT, [this, id](std::uint32_t ev) {
+  loop_.add_fd(fd, EPOLLIN | EPOLLOUT, [this, id](std::uint32_t ev) {
     handle_peer_event(id, ev);
   });
   if (rc == 0) on_dial_connected(p);
@@ -766,15 +646,15 @@ void TcpEnv::dial(Peer& p) {
 
 void TcpEnv::on_dial_connected(Peer& p) {
   p.connecting = false;
-  p.established_at = owner_loop(p.id).now();
-  p.stats.connected.store(true, relaxed);
+  p.established_at = loop_.now();
+  p.stats.connected = true;
   // The handshake frame goes out before anything queued while disconnected
   // (unpaid, and released at once on a shaped peer).
   const Bytes hello = encode_hello(static_cast<std::uint32_t>(self_));
   OutFrame f;
   f.header_len = static_cast<std::uint8_t>(hello.size());
   std::memcpy(f.header.data(), hello.data(), hello.size());
-  p.stats.queued_bytes.fetch_add(f.size(), relaxed);
+  p.stats.queued_bytes += f.size();
   (p.shaper ? p.delayed : p.high).push_front(std::move(f));
   flush_writes(p);
 }
@@ -798,7 +678,7 @@ void TcpEnv::handle_listener(std::uint32_t /*events*/) {
     // may not keep holding a pending slot. The id guards against the fd
     // number having been closed and reused by the time the timer fires.
     const std::uint64_t timer =
-        listener_loop().after(opt_.handshake_timeout, [this, fd, id] {
+        loop_.after(opt_.handshake_timeout, [this, fd, id] {
           auto it = pending_.find(fd);
           if (it != pending_.end() && it->second.id == id) {
             it->second.timer = 0;
@@ -807,7 +687,7 @@ void TcpEnv::handle_listener(std::uint32_t /*events*/) {
         });
     pending_.emplace(fd,
                      PendingAccept{fd, id, timer, FrameReader(opt_.max_frame_bytes)});
-    listener_loop().add_fd(fd, EPOLLIN, [this, fd](std::uint32_t ev) {
+    loop_.add_fd(fd, EPOLLIN, [this, fd](std::uint32_t ev) {
       handle_pending_accept(fd, ev);
     });
   }
@@ -816,9 +696,9 @@ void TcpEnv::handle_listener(std::uint32_t /*events*/) {
 void TcpEnv::close_pending(int fd) {
   auto it = pending_.find(fd);
   if (it != pending_.end() && it->second.timer != 0) {
-    listener_loop().cancel_timer(it->second.timer);
+    loop_.cancel_timer(it->second.timer);
   }
-  listener_loop().del_fd(fd);
+  loop_.del_fd(fd);
   close(fd);
   pending_.erase(fd);
 }
@@ -848,21 +728,12 @@ void TcpEnv::handle_pending_accept(int fd, std::uint32_t events) {
           close_pending(fd);
           return;
         }
-        if (it->second.timer != 0) listener_loop().cancel_timer(it->second.timer);
+        if (it->second.timer != 0) loop_.cancel_timer(it->second.timer);
         FrameReader reader = std::move(it->second.reader);
         pending_.erase(it);
-        // Swap the pending-accept handler for the peer handler — possibly
-        // on a different loop: the socket is adopted by its owner.
-        listener_loop().del_fd(fd);
-        const int peer_id = static_cast<int>(wf.hello_node);
-        if (!multi() || owner_index(peer_id) == 0) {
-          adopt_accepted(fd, peer_id, std::move(reader));
-        } else {
-          owner_loop(peer_id).post(
-              [this, fd, peer_id, reader = std::move(reader)]() mutable {
-                adopt_accepted(fd, peer_id, std::move(reader));
-              });
-        }
+        // Swap the pending-accept handler for the peer handler.
+        loop_.del_fd(fd);
+        adopt_accepted(fd, static_cast<int>(wf.hello_node), std::move(reader));
         return;
       }
       if (it->second.reader.buffered_bytes() > kMaxPreAuthBytes) {
@@ -890,9 +761,9 @@ void TcpEnv::adopt_accepted(int fd, int peer_id, FrameReader&& reader) {
   p.fd = fd;
   p.connecting = false;
   p.want_write = false;
-  p.stats.connected.store(true, relaxed);
+  p.stats.connected = true;
   p.reader = std::move(reader);
-  owner_loop(peer_id).add_fd(fd, EPOLLIN, [this, peer_id](std::uint32_t ev) {
+  loop_.add_fd(fd, EPOLLIN, [this, peer_id](std::uint32_t ev) {
     handle_peer_event(peer_id, ev);
   });
   // Frames that arrived glued to the Hello are already buffered; process
@@ -902,38 +773,16 @@ void TcpEnv::adopt_accepted(int fd, int peer_id, FrameReader&& reader) {
 
 // --- introspection -----------------------------------------------------------
 
-TcpEnv::PeerStats TcpEnv::peer_stats(int id) const {
-  const PeerCounters& c = peer(id).stats;
-  PeerStats s;
-  s.connected = c.connected.load(relaxed);
-  s.queued_bytes = c.queued_bytes.load(relaxed);
-  s.sent_frames = c.sent_frames.load(relaxed);
-  s.sent_bytes = c.sent_bytes.load(relaxed);
-  s.recv_frames = c.recv_frames.load(relaxed);
-  s.recv_bytes = c.recv_bytes.load(relaxed);
-  s.dropped_frames = c.dropped_frames.load(relaxed);
-  s.dropped_bytes = c.dropped_bytes.load(relaxed);
-  s.reconnects = c.reconnects.load(relaxed);
-  s.shaped_drops = c.shaped_drops.load(relaxed);
-  s.shaped_drop_bytes = c.shaped_drop_bytes.load(relaxed);
-  s.shaper_waits = c.shaper_waits.load(relaxed);
-  return s;
-}
-
 int TcpEnv::connected_peers() const {
   int count = 0;
   for (const Peer& p : peers_) {
-    if (p.id != self_ && p.stats.connected.load(relaxed)) ++count;
+    if (p.id != self_ && p.stats.connected) ++count;
   }
   return count;
 }
 
 void TcpEnv::drop_connection_for_test(int id) {
-  if (!multi()) {
-    disconnect(peer(id), "test");
-    return;
-  }
-  owner_loop(id).post([this, id] { disconnect(peer(id), "test"); });
+  disconnect(peer(id), "test");
 }
 
 }  // namespace dl::net

@@ -1,10 +1,11 @@
 // TcpEnv — the real-socket backend of runtime::Env.
 //
-// One TcpEnv per replica process (or per thread in in-process tests): it
-// owns a listening socket plus one TCP connection per peer. Connection
-// topology is deterministic: node i DIALS every peer with a smaller id and
-// ACCEPTS from every peer with a larger id, so each unordered pair shares
-// exactly one connection and two replicas never race to create duplicates.
+// One TcpEnv per replica process (in-process tests run several on one
+// loop): it owns a listening socket plus one TCP connection per peer.
+// Connection topology is deterministic: node i DIALS every peer with a
+// smaller id and ACCEPTS from every peer with a larger id, so each unordered
+// pair shares exactly one connection and two replicas never race to create
+// duplicates.
 // The dialing side sends a Hello frame identifying itself; both directions
 // then carry Data frames (length-prefixed protocol envelopes, net/frame.hpp).
 //
@@ -16,25 +17,19 @@
 // buffer and hands out payload views — the only copy on the receive path is
 // the kernel's.
 //
-// Transport-loop affinity (--net-loops K): with Options::net_loops >= 2,
-// TcpEnv runs K private EventLoop threads and pins each peer connection to
-// loop (peer_id % K). All per-peer state — socket, queues, reader, redial
-// timers — is touched only on the owner loop, so there is no lock anywhere
-// on the protocol path. send/broadcast (home loop) hand envelopes to owner
-// loops through the loops' MPSC mailboxes (a broadcast posts one task per
-// loop, not per peer); inbound frames batch back to the home loop, where
-// Receiver callbacks fire exactly as in single-loop mode. With net_loops <= 1
-// (the default) everything multiplexes inline on the caller's loop — the
-// original single-threaded behavior, bit for bit.
+// Threading: one thread. Sockets, queues, shaper state and timers all live
+// on the home loop the TcpEnv was built with; Receiver callbacks fire inline
+// from the read path, and none of TcpEnv's own state needs a lock or an
+// atomic.
 //
 // Delivery model per peer, mirroring the simulator's FluidLink scheduling:
 // High-class frames (dispersal + agreement) go before Low-class frames
 // (retrieval), and Low frames go in (order, enqueue-seq) order; cancellation
-// by tag scans the Low queues of the owner loop's peers and removes every
-// unstarted match — the paper's prioritization (§5) and cancel-on-decode
-// (§6.3) on a real socket. An unshaped peer drains these queues straight
-// into the socket. A shaped peer (a [[link]] rule) runs two stages, like a
-// link that serializes a frame and then propagates it:
+// by tag scans every peer's Low queue and removes every unstarted match —
+// the paper's prioritization (§5) and cancel-on-decode (§6.3) on a real
+// socket. An unshaped peer drains these queues straight into the socket. A
+// shaped peer (a [[link]] rule) runs two stages, like a link that
+// serializes a frame and then propagates it:
 //   pay    — frames buy their bytes from the LinkShaper token bucket one
 //            frame at a time, in the same High-then-Low order. A High frame
 //            preempts a partly paid Low frame: nothing of it has reached the
@@ -56,14 +51,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "net/buffer_pool.hpp"
 #include "net/cluster_config.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
@@ -92,9 +84,6 @@ class TcpEnv final : public runtime::Env {
     // (and within a small byte budget) or it is closed — unauthenticated
     // sockets may not hold pending-accept slots or memory indefinitely.
     double handshake_timeout = 5.0;
-    // Transport loops. <= 1: all socket I/O inline on the home loop.
-    // >= 2: that many private loop threads, peer -> loop (id % net_loops).
-    int net_loops = 1;
     // Wire-level misbehavior injection (tests / dlnoded --adversary). An
     // adversary overrides any [[link]] shaping from the cluster config.
     WireAdversary adversary = WireAdversary::None;
@@ -116,11 +105,11 @@ class TcpEnv final : public runtime::Env {
   // Updates a peer's port before start() (port-0 discovery in tests).
   void set_peer_port(int id, std::uint16_t port);
 
-  // Injects the Receiver, registers sockets with their owner loops, begins
-  // dialing, spawns the transport-loop threads (multi-loop mode), and
-  // schedules the Receiver's start() as the first home-loop task. Call once
-  // (from any thread, before or while the home loop runs), then loop.run().
-  // All Receiver callbacks fire on the home-loop thread.
+  // Injects the Receiver and posts the first home-loop task, which
+  // registers the listen socket, begins dialing and calls the Receiver's
+  // start(). Call once (from any thread, before or while the home loop
+  // runs), then loop.run(). All Receiver callbacks fire on the home-loop
+  // thread.
   void start(runtime::Receiver& r);
 
   // --- runtime::Env -------------------------------------------------------
@@ -155,9 +144,8 @@ class TcpEnv final : public runtime::Env {
     std::uint64_t shaped_drop_bytes = 0;
     std::uint64_t shaper_waits = 0;   // pay-stage pauses waiting on the bucket
   };
-  // Both are thread-safe snapshots (relaxed counters — may trail the owner
-  // loop by a few frames, never torn).
-  PeerStats peer_stats(int id) const;
+  // Home loop only, like the rest of the Env API.
+  PeerStats peer_stats(int id) const { return peer(id).stats; }
   int connected_peers() const;
 
   // Aggregate egress-shaper stats across every distinct bucket (peers
@@ -167,15 +155,8 @@ class TcpEnv final : public runtime::Env {
   LinkShaper::Stats shaper_totals() const;
   int shaper_count() const { return static_cast<int>(shapers_.size()); }
 
-  // Transport loops (empty when net_loops <= 1). The loop set is fixed at
-  // construction; EventLoop::stats() cells are thread-safe, so the metrics
-  // plane may read them live.
-  int transport_loop_count() const { return static_cast<int>(tloops_.size()); }
-  const EventLoop& transport_loop(int i) const { return *tloops_[i]; }
-
   // Test hook: tears down the connection to `id` (if any) as if the network
   // broke it; the dialing side's backoff machinery must then restore it.
-  // Multi-loop mode: asynchronous (posted to the owner loop).
   void drop_connection_for_test(int id);
 
  private:
@@ -199,25 +180,6 @@ class TcpEnv final : public runtime::Env {
     }
   };
 
-  // Cross-thread-readable per-peer accounting. Written only by the owner
-  // loop; relaxed loads elsewhere (peer_stats, connected_peers).
-  struct PeerCounters {
-    std::atomic<bool> connected{false};
-    std::atomic<std::size_t> queued_bytes{0};
-    std::atomic<std::uint64_t> sent_frames{0};
-    std::atomic<std::uint64_t> sent_bytes{0};
-    std::atomic<std::uint64_t> recv_frames{0};
-    std::atomic<std::uint64_t> recv_bytes{0};
-    std::atomic<std::uint64_t> dropped_frames{0};
-    std::atomic<std::uint64_t> dropped_bytes{0};
-    std::atomic<std::uint64_t> reconnects{0};
-    std::atomic<std::uint64_t> shaped_drops{0};
-    std::atomic<std::uint64_t> shaped_drop_bytes{0};
-    std::atomic<std::uint64_t> shaper_waits{0};
-  };
-
-  // All mutable fields owner-loop-affine (loop id % net_loops; the home
-  // loop when net_loops <= 1).
   struct Peer {
     int id = -1;
     NodeAddr addr;
@@ -242,13 +204,12 @@ class TcpEnv final : public runtime::Env {
     // matching [[link]] rule names a destination; shared across this node's
     // peers (one aggregate egress bucket, like FluidLink) when it does not.
     std::shared_ptr<LinkShaper> shaper;
-    std::uint64_t shape_timer = 0;  // pending pay/release wake, owner loop
+    std::uint64_t shape_timer = 0;  // pending pay/release wake
     double shape_wake_at = 0;       // when shape_timer fires
-    PeerCounters stats;
+    PeerStats stats;
   };
 
-  // An accepted connection whose Hello has not arrived yet. Listener-loop
-  // state (loop 0 in multi-loop mode).
+  // An accepted connection whose Hello has not arrived yet.
   struct PendingAccept {
     int fd = -1;
     std::uint64_t id = 0;     // guards the timeout against fd-number reuse
@@ -256,27 +217,8 @@ class TcpEnv final : public runtime::Env {
     FrameReader reader;
   };
 
-  // Inbound frames accumulating on a transport loop, bound for the home
-  // loop: payload bytes packed into one pooled buffer plus (offset, length)
-  // spans. Posted as a single home-loop task per read burst.
-  struct RecvBatch {
-    int from = -1;
-    PooledBuf buf;
-    std::size_t used = 0;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
-  };
-
   Peer& peer(int id) { return peers_[static_cast<std::size_t>(id)]; }
   const Peer& peer(int id) const { return peers_[static_cast<std::size_t>(id)]; }
-
-  bool multi() const { return !tloops_.empty(); }
-  std::size_t owner_index(int id) const {
-    return static_cast<std::size_t>(id) % tloops_.size();
-  }
-  EventLoop& owner_loop(int id) {
-    return multi() ? *tloops_[owner_index(id)] : loop_;
-  }
-  EventLoop& listener_loop() { return multi() ? *tloops_[0] : loop_; }
 
   static OutFrame make_data_frame(Envelope&& env, std::uint64_t tag);
   static void add_iov(const OutFrame& f, std::size_t off, iovec* iov,
@@ -295,8 +237,6 @@ class TcpEnv final : public runtime::Env {
   void flush_writes(Peer& p);
   void consume_written(Peer& p, std::size_t n);
   bool drain_frames(Peer& p);  // false once the connection was torn down
-  void batch_add(RecvBatch& b, int from, ByteView frame);
-  void post_batch(RecvBatch& b);
   void handle_readable(Peer& p);
   void handle_peer_event(int id, std::uint32_t events);
   void disconnect(Peer& p, const char* why);
@@ -307,9 +247,8 @@ class TcpEnv final : public runtime::Env {
   void handle_pending_accept(int fd, std::uint32_t events);
   void adopt_accepted(int fd, int peer_id, FrameReader&& reader);
   void close_pending(int fd);
-  void cancel_send_on(std::size_t loop_idx, std::uint64_t tag);
 
-  EventLoop& loop_;  // home loop: Receiver callbacks, timers, Env API
+  EventLoop& loop_;  // home loop: sockets, timers, Receiver callbacks
   ClusterConfig cfg_;
   int self_;
   Options opt_;
@@ -317,18 +256,13 @@ class TcpEnv final : public runtime::Env {
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   bool started_ = false;
-  std::atomic<std::uint64_t> next_low_seq_{0};
+  std::uint64_t next_low_seq_ = 0;
   std::uint64_t next_pending_id_ = 1;
-  // deque: Peer holds atomics (immovable) and must stay address-stable.
-  std::deque<Peer> peers_;  // indexed by id; entry self_ unused
+  std::vector<Peer> peers_;  // indexed by id; entry self_ unused
   // Distinct shaper buckets, deduped at setup_shapers() time; immutable
-  // afterwards (read by shaper_totals() from any thread).
+  // afterwards.
   std::vector<std::shared_ptr<LinkShaper>> shapers_;
   std::map<int, PendingAccept> pending_;  // fd -> state
-  // Transport tier (empty when net_loops <= 1). Loops are constructed in
-  // the ctor (owner_loop must resolve before start), threads in start().
-  std::vector<std::unique_ptr<EventLoop>> tloops_;
-  std::vector<std::thread> tthreads_;
 };
 
 }  // namespace dl::net

@@ -13,24 +13,6 @@ namespace {
 constexpr std::memory_order relaxed = std::memory_order_relaxed;
 }
 
-void NodeExporter::add_loop(Registry& reg, const std::string& label,
-                            const net::EventLoop* loop) {
-  LoopSeries s;
-  s.loop = loop;
-  const std::string l = "loop=\"" + label + "\"";
-  s.polls = reg.counter("dl_loop_polls_total", "epoll_wait returns", l);
-  s.wakes = reg.counter("dl_loop_wakes_total", "cross-thread eventfd kicks", l);
-  s.drains = reg.counter("dl_loop_drains_total",
-                         "mailbox drain passes that ran tasks", l);
-  s.tasks = reg.counter("dl_loop_tasks_total", "posted tasks executed", l);
-  s.timers = reg.counter("dl_loop_timers_total", "timer callbacks fired", l);
-  s.last_drain = reg.gauge("dl_loop_last_drain_tasks",
-                           "tasks consumed by the most recent drain "
-                           "(mailbox depth proxy)",
-                           l);
-  loops_.push_back(s);
-}
-
 NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
   if (src_.node != nullptr) {
     n_ = src_.node->config().n;
@@ -115,11 +97,21 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
                                       "take() calls that returned 0");
   }
 
-  if (src_.home_loop != nullptr) add_loop(reg, "home", src_.home_loop);
-  if (src_.env != nullptr) {
-    for (int i = 0; i < src_.env->transport_loop_count(); ++i) {
-      add_loop(reg, "net" + std::to_string(i), &src_.env->transport_loop(i));
-    }
+  if (src_.home_loop != nullptr) {
+    const std::string l = "loop=\"home\"";
+    c_loop_polls_ = reg.counter("dl_loop_polls_total", "epoll_wait returns", l);
+    c_loop_wakes_ =
+        reg.counter("dl_loop_wakes_total", "cross-thread eventfd kicks", l);
+    c_loop_drains_ = reg.counter("dl_loop_drains_total",
+                                 "mailbox drain passes that ran tasks", l);
+    c_loop_tasks_ =
+        reg.counter("dl_loop_tasks_total", "posted tasks executed", l);
+    c_loop_timers_ =
+        reg.counter("dl_loop_timers_total", "timer callbacks fired", l);
+    g_loop_last_drain_ = reg.gauge("dl_loop_last_drain_tasks",
+                                   "tasks consumed by the most recent drain "
+                                   "(mailbox depth proxy)",
+                                   l);
   }
 
   c_pool_fresh_ = reg.counter("dl_bufpool_fresh_allocs_total",
@@ -227,14 +219,14 @@ void NodeExporter::refresh() {
     c_shaper_throttles_->set(sh.throttle_waits);
   }
 
-  for (LoopSeries& l : loops_) {
-    const auto& st = l.loop->stats();
-    l.polls->set(st.polls.load(relaxed));
-    l.wakes->set(st.wakes.load(relaxed));
-    l.drains->set(st.drains.load(relaxed));
-    l.tasks->set(st.tasks.load(relaxed));
-    l.timers->set(st.timers.load(relaxed));
-    l.last_drain->set(
+  if (src_.home_loop != nullptr) {
+    const auto& st = src_.home_loop->stats();
+    c_loop_polls_->set(st.polls.load(relaxed));
+    c_loop_wakes_->set(st.wakes.load(relaxed));
+    c_loop_drains_->set(st.drains.load(relaxed));
+    c_loop_tasks_->set(st.tasks.load(relaxed));
+    c_loop_timers_->set(st.timers.load(relaxed));
+    g_loop_last_drain_->set(
         static_cast<std::int64_t>(st.last_drain_tasks.load(relaxed)));
   }
 

@@ -9,11 +9,11 @@
 // in dlnoded that is the node home loop (the admin endpoint, the
 // --stats-interval timer and the SIGUSR1 handler all live there). Sources
 // split into two groups:
-//   - thread-safe anywhere: TcpEnv peer/shaper stats, BufferPool,
-//     LedgerStore, EventLoop::stats(), Gateway and Mempool counters (all
-//     relaxed atomics or internally locked);
-//   - home-loop-affine: DlNode::stats() — safe precisely because the hook
-//     runs on the home loop.
+//   - thread-safe anywhere: TcpEnv shaper totals, BufferPool, LedgerStore,
+//     EventLoop::stats(), Gateway and Mempool counters (all relaxed atomics
+//     or internally locked);
+//   - home-loop-affine: DlNode::stats() and TcpEnv::peer_stats() — safe
+//     precisely because the hook runs on the home loop.
 // Keep that split in mind before snapshotting from any other thread.
 //
 // delta_line() doubles as the --stats-interval formatter: a one-line
@@ -113,19 +113,13 @@ class NodeExporter {
   Counter* c_shaper_lost_bytes_ = nullptr;
   Counter* c_shaper_throttles_ = nullptr;
 
-  // event loops (home + transport)
-  struct LoopSeries {
-    const net::EventLoop* loop = nullptr;
-    Counter* polls = nullptr;
-    Counter* wakes = nullptr;
-    Counter* drains = nullptr;
-    Counter* tasks = nullptr;
-    Counter* timers = nullptr;
-    Gauge* last_drain = nullptr;
-  };
-  std::vector<LoopSeries> loops_;
-  void add_loop(Registry& reg, const std::string& label,
-                const net::EventLoop* loop);
+  // the home event loop
+  Counter* c_loop_polls_ = nullptr;
+  Counter* c_loop_wakes_ = nullptr;
+  Counter* c_loop_drains_ = nullptr;
+  Counter* c_loop_tasks_ = nullptr;
+  Counter* c_loop_timers_ = nullptr;
+  Gauge* g_loop_last_drain_ = nullptr;
 
   // buffer pool
   Counter* c_pool_fresh_ = nullptr;

@@ -1,8 +1,8 @@
 // RelaxedU64 — a copyable relaxed-atomic counter cell.
 //
-// Stats structs (Mempool, Gateway, loop and peer counters) are written by
-// exactly one thread — the home loop or a transport loop — but may be read
-// live by the metrics plane from another. Plain u64 fields would make such
+// Stats structs (Mempool, Gateway, loop counters) are written by exactly
+// one thread — the loop that owns them — but may be read live by the
+// metrics plane from another. Plain u64 fields would make such
 // a read a C++ data race. RelaxedU64 keeps the write side as cheap as a
 // plain increment — a relaxed fetch_add compiles to `lock add` with no
 // ordering stalls — while making cross-thread reads well-defined.

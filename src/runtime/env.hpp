@@ -49,11 +49,9 @@
 // any callback can fire, the receiver wiring is already published to every
 // thread involved.
 //
-// A backend may run additional private threads below this contract — TcpEnv
-// with `--net-loops K` owns K transport loops that do socket I/O — but those
-// are invisible here: send/broadcast are still called only on the home loop,
-// and on_receive still fires only on the home loop. Cross-loop handoff is
-// the backend's problem.
+// Both shipped backends are single-threaded: socket I/O, timers and
+// Receiver callbacks all run on the home loop, so nothing below the
+// contract needs a cross-thread handoff.
 #pragma once
 
 #include <cstdint>

@@ -157,6 +157,18 @@ TEST(TcpEnv, TwoNodeRequestResponseAndLocalLoopback) {
   EXPECT_EQ(r1.got[1].second.epoch, 1007u);
   EXPECT_EQ(envs[0]->connected_peers(), 1);
   EXPECT_EQ(envs[1]->connected_peers(), 1);
+
+  // Exact per-peer accounting. Node 1 dialed, so its Hello went out ahead of
+  // the ping; node 0's pending-accept reader consumed that Hello before the
+  // socket was adopted, so only the ping counts as received.
+  const TcpEnv::PeerStats dialer = envs[1]->peer_stats(0);
+  const TcpEnv::PeerStats acceptor = envs[0]->peer_stats(1);
+  EXPECT_EQ(dialer.sent_frames, 2u);    // Hello + ping
+  EXPECT_EQ(acceptor.recv_frames, 1u);  // ping
+  EXPECT_EQ(acceptor.sent_frames, 1u);  // echo
+  EXPECT_EQ(dialer.recv_frames, 1u);    // echo
+  EXPECT_EQ(dialer.queued_bytes, 0u);
+  EXPECT_EQ(acceptor.queued_bytes, 0u);
 }
 
 // Runs `loop` until `done()` holds (polled every 10 ms) or `timeout`
@@ -406,20 +418,16 @@ TEST(TcpEnv, HandshakeTimeoutClosesSilentConnections) {
 }
 
 // The real thing: a 4-replica DispersedLedger cluster over loopback TCP.
-// Every replica must commit the same ledger prefix. `net_loops` >= 2 runs
-// each replica's peer connections on private transport threads (per-peer
-// loop affinity); the ledger outcome must be indistinguishable from the
-// single-loop build.
-void run_four_node_cluster(int net_loops, bool shaped = false) {
+// Every replica must commit the same ledger prefix. `shaped` sends every
+// node's egress through one shared wildcard bucket (rate + delay).
+void run_four_node_cluster(bool shaped) {
   constexpr int kN = 4;
   constexpr std::uint64_t kTargetEpochs = 25;
 
   EventLoop loop;
   const ClusterConfig cfg =
       shaped ? shaped_cluster(kN, 4e6, 5) : loopback_cluster(kN);
-  TcpEnv::Options opt;
-  opt.net_loops = net_loops;
-  auto envs = make_envs(loop, cfg, opt);
+  auto envs = make_envs(loop, cfg);
 
   struct Delivery {
     std::uint64_t at_epoch;
@@ -490,7 +498,16 @@ void run_four_node_cluster(int net_loops, bool shaped = false) {
   }
 }
 
-TEST(TcpCluster, FourNodeLedgerPrefixAgreement) { run_four_node_cluster(1); }
+TEST(TcpCluster, FourNodeLedgerPrefixAgreement) {
+  run_four_node_cluster(/*shaped=*/false);
+}
+
+// The same cluster with every node paying for its egress through one shared
+// bucket (4 MB/s + 5 ms): the pay stage and the per-peer delay lines carry
+// the whole protocol. In the TSan CI matrix.
+TEST(TcpCluster, FourNodeShapedLedgerPrefixAgreement) {
+  run_four_node_cluster(/*shaped=*/true);
+}
 
 // Wire-level adversary e2e, mirroring the sim adversary tests on real
 // sockets: node 3 is mute-but-connected (dials, Hellos, then every Data
@@ -597,21 +614,6 @@ TEST(TcpCluster, MuteAndSlowDripNodesToleratedWithIdenticalPrefixes) {
     drip_waits += envs[kDrip]->peer_stats(j).shaper_waits;
   }
   EXPECT_GT(drip_waits, 0u);
-}
-
-// Same cluster, but every replica splits its peer connections across two
-// transport loops (peer id % 2). Exercises cross-loop send/broadcast
-// batching, socket adoption onto owner loops, and receive-side batch
-// delivery back to the home loop. In the TSan CI matrix.
-TEST(TcpCluster, FourNodeLedgerPrefixAgreementTwoNetLoops) {
-  run_four_node_cluster(2);
-}
-
-// The two-loop cluster with every node's egress shaped through one shared
-// bucket (rate + delay): both transport loops of a node pay from the same
-// LinkShaper and each runs its own peers' delay lines. In the TSan CI matrix.
-TEST(TcpCluster, FourNodeShapedLedgerPrefixAgreementTwoNetLoops) {
-  run_four_node_cluster(2, /*shaped=*/true);
 }
 
 }  // namespace

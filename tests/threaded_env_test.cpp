@@ -1,5 +1,7 @@
-// The cross-thread EventLoop seams that --net-loops transport threads rely
-// on, exercised with real threads (run under ThreadSanitizer in CI):
+// The cross-thread EventLoop seams that multi-loop processes rely on
+// (lb_client runs one loop with its DlClients per worker thread) and that
+// back TcpEnv::defer's any-thread promise, exercised with real threads (run
+// under ThreadSanitizer in CI):
 //
 //   - EventLoop::post() from concurrent producers: thread-safe, FIFO per
 //     producer, runs on the loop thread, wakes a sleeping loop.
