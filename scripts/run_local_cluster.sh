@@ -46,9 +46,13 @@
 #                 2N + id), --stats-interval and --flight-recorder; the
 #                 script scrapes /metrics + /healthz mid-run, asserts the
 #                 exposition parses and the key series (epoch frontier,
-#                 peer bytes, shaper grants, mempool drops in -L mode) are
-#                 present and advancing, and saves each replica's /statusz
-#                 next to the logs (metrics_N.prom / statusz_N.json).
+#                 peer bytes, shaper grants, live epochs, mempool drops in
+#                 -L mode) are present and advancing, that no replica holds
+#                 more live epochs than the retire horizon, and saves each
+#                 replica's /statusz next to the logs (metrics_N.prom /
+#                 statusz_N.json). With EPOCHS > horizon + 64 it scrapes
+#                 replica 0 again past the horizon and requires a nonzero
+#                 dl_node_retired_floor.
 #   -k            keep the work directory on success
 #
 # Port collisions: replicas exit 3 when they cannot bind; the script then
@@ -263,6 +267,14 @@ frontier_of() {
   awk '$1 == "dl_node_epoch_frontier" {print $2; found = 1} END {if (!found) print -1}' "$1"
 }
 
+# DlNode::kRetireHorizon (src/dl/node.hpp): an epoch that far behind delivery
+# is retired even if a peer never asked for its chunks, so an honest
+# replica's live epoch count stays within it even next to a mute peer.
+RETIRE_HORIZON=256
+live_epochs_of() {
+  awk '$1 == "dl_node_live_epochs" {print $2; found = 1} END {if (!found) print -1}' "$1"
+}
+
 # Scrapes replica $1 and checks liveness + key series presence.
 scrape_replica() {
   local i="$1" port=$((admin_base + $1))
@@ -278,11 +290,19 @@ scrape_replica() {
     echo "run_local_cluster: replica $i /metrics does not parse" >&2; return 1; }
   local series
   for series in dl_node_epoch_frontier 'dl_peer_sent_bytes_total{peer="' \
-                dl_shaper_granted_bytes_total dl_loop_polls_total; do
+                dl_shaper_granted_bytes_total dl_loop_polls_total \
+                dl_node_live_epochs; do
     grep -qF "$series" "$WORK/metrics_$i.prom" || {
       echo "run_local_cluster: replica $i missing series $series" >&2
       return 1; }
   done
+  local live
+  live=$(live_epochs_of "$WORK/metrics_$i.prom")
+  if [ "$live" -gt "$RETIRE_HORIZON" ]; then
+    echo "run_local_cluster: replica $i holds $live live epochs" \
+         "(retire horizon $RETIRE_HORIZON)" >&2
+    return 1
+  fi
   if [ "$LOADGEN" -eq 1 ]; then
     grep -qF 'dl_mempool_dropped_total{cause="' "$WORK/metrics_$i.prom" || {
       echo "run_local_cluster: replica $i missing mempool drop series" >&2
@@ -310,31 +330,54 @@ if [ "$ADMIN" -eq 1 ] && [ "$LOADGEN" -eq 0 ]; then
     "(frontier $early -> $late across $HONEST replicas)"
 fi
 
+# Polls replica $1's ledger until it commits epoch $2; fails if the replica
+# dies first or the watchdog runs out.
+wait_for_epoch() {
+  local i="$1" e="$2" waited=0
+  while :; do
+    if awk -v e="$e" '$1 >= e {found = 1; exit} END {exit !found}' \
+        "$WORK/ledger_$i.log" 2>/dev/null; then
+      return 0
+    fi
+    if ! kill -0 "${pids[$i]}" 2>/dev/null; then
+      echo "run_local_cluster: replica $i exited before epoch $e" >&2
+      return 1
+    fi
+    waited=$((waited + 1))
+    if [ "$waited" -gt $((WATCHDOG * 10)) ]; then
+      echo "run_local_cluster: replica $i never reached epoch $e" >&2
+      return 1
+    fi
+    sleep 0.1
+  done
+}
+
+if [ "$ADMIN" -eq 1 ] && [ "$LOADGEN" -eq 0 ] && [ "$fail" -eq 0 ] &&
+   [ "$EPOCHS" -gt $((RETIRE_HORIZON + 64)) ]; then
+  # Late scrape, once replica 0 is past the retire horizon: it must have
+  # retired epochs (settled ones, or by the horizon next to a mute or
+  # crashed peer) and hold no more than the horizon.
+  if wait_for_epoch 0 $((RETIRE_HORIZON + 32)) && scrape_replica 0; then
+    floor=$(awk '$1 == "dl_node_retired_floor" {print $2}' "$WORK/metrics_0.prom")
+    if [ "${floor:-0}" -gt 0 ]; then
+      echo "run_local_cluster: retire scrape ok (replica 0: floor $floor," \
+           "$(live_epochs_of "$WORK/metrics_0.prom") live epochs)"
+    else
+      echo "run_local_cluster: replica 0 retired nothing past the horizon" >&2
+      fail=1
+    fi
+  else
+    fail=1
+  fi
+fi
+
 if [ "$CRASH" -eq 1 ]; then
   # SIGKILL one replica mid-run, restart it against the same store, and let
   # the normal end-of-run checks prove it converged with everyone else.
   victim=$((N - 1))
   kill_at=$((EPOCHS / 3))
   [ "$kill_at" -lt 1 ] && kill_at=1
-  waited=0
-  while :; do
-    if awk -v e="$kill_at" '$1 >= e {found = 1; exit} END {exit !found}' \
-        "$WORK/ledger_$victim.log" 2>/dev/null; then
-      break
-    fi
-    if ! kill -0 "${pids[$victim]}" 2>/dev/null; then
-      echo "run_local_cluster: victim $victim died before the crash point" >&2
-      fail=1
-      break
-    fi
-    waited=$((waited + 1))
-    if [ "$waited" -gt $((WATCHDOG * 10)) ]; then
-      echo "run_local_cluster: victim $victim never reached epoch $kill_at" >&2
-      fail=1
-      break
-    fi
-    sleep 0.1
-  done
+  wait_for_epoch "$victim" "$kill_at" || fail=1
   if [ "$fail" -eq 0 ]; then
     kill -KILL "${pids[$victim]}" 2>/dev/null || true
     rc=0

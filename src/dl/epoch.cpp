@@ -37,4 +37,14 @@ bool DLEpoch::refresh_ba_outputs() {
   return changed;
 }
 
+bool DLEpoch::settled() const {
+  for (int i = 0; i < n_; ++i) {
+    if (!bas_[static_cast<std::size_t>(i)].halted() ||
+        !vids_[static_cast<std::size_t>(i)].served_every_peer(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace dl::core

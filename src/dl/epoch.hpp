@@ -49,12 +49,16 @@ class DLEpoch {
   // Commit set S_e: indices whose BA output 1 (valid once all_ba_output()).
   const std::vector<int>& commit_set() const { return commit_set_; }
 
+  // True once nothing further can happen here: every BA halted (its
+  // messages are ignored) and every VID instance served each peer but its
+  // proposer (no request is owed). DlNode retires settled epochs.
+  bool settled() const;
+
   // --- delivery bookkeeping (driven by DlNode) -------------------------
   bool linked_computed = false;
   // Blocks from earlier epochs this epoch delivers via inter-node linking,
   // sorted by (epoch, node) at delivery time.
   std::vector<std::pair<std::uint64_t, int>> linked_blocks;
-  bool delivered = false;
 
  private:
   std::uint64_t epoch_;

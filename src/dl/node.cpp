@@ -176,10 +176,11 @@ bool DlNode::can_start_next_epoch() const {
   }
   if (propose_epoch_ == 0) return true;
   const std::uint64_t prev = propose_epoch_ - 1;
-  if (prev < closed_floor_) {
+  if (prev < closed_floor_ || prev < retired_floor_) {
     // Epochs below the restore/catch-up floor were agreement-closed by the
-    // cluster while we were down; our local DLEpoch state for them is gone
-    // and all_ba_output() would stay false forever.
+    // cluster while we were down, and retired epochs were delivered; either
+    // way the local DLEpoch state is gone and all_ba_output() would stay
+    // false forever.
     return true;
   }
   if (cfg_.vote_on_dispersal) {
@@ -360,6 +361,11 @@ void DlNode::on_receive(int from, ByteView bytes) {
     ++stats_.catch_up_msgs_received;
   }
 
+  if ((is_vid_kind(env.kind) || is_ba_kind(env.kind)) &&
+      env.epoch < retired_floor_) {
+    return;  // retired: counted above, nothing left to act on it
+  }
+
   if (env.kind == MsgKind::VidReturnChunk) {
     handle_return_chunk(from, env);
   } else if (env.kind == MsgKind::VidCancel) {
@@ -376,6 +382,7 @@ void DlNode::on_receive(int from, ByteView bytes) {
     handle_catch_up_done(from, env);
   }
   // Unknown kinds are dropped.
+  retire_epochs();
 }
 
 void DlNode::handle_vid_message(int from, const Envelope& env) {
@@ -481,6 +488,7 @@ void DlNode::maybe_vote(std::uint64_t e, int instance) {
     // without us (crash faults stay crash faults).
     return;
   }
+  if (e < retired_floor_) return;  // agreement over; the state is gone
   DLEpoch& st = epoch_state(e);
   ba::BinaryAgreement& ba = st.ba(instance);
   if (ba.has_input()) return;
@@ -666,7 +674,6 @@ void DlNode::try_deliver() {
     for (int j : st.commit_set()) deliver(BlockKey{e, j});
     for (const auto& [d, j] : st.linked_blocks) deliver(BlockKey{d, j});
     st.linked_blocks.clear();
-    st.delivered = true;
     close_epoch(e, st.commit_set().size());
     delivered_any = true;
   }
@@ -684,6 +691,27 @@ void DlNode::close_epoch(std::uint64_t at, std::uint64_t blocks) {
   }
   ++deliver_next_;
   if (store_ != nullptr) store_->append_epoch_done(at);
+}
+
+// Besides settled and horizon-old epochs (node.hpp), epochs below the
+// restore/catch-up floor retire: any local state there was built from
+// stray messages after the cluster closed them without us. Retirement runs
+// in epoch order, so the floor is one number, and this is the only place
+// epoch state is erased.
+void DlNode::retire_epochs() {
+  std::uint64_t floor =
+      std::max(retired_floor_, std::min(closed_floor_, deliver_next_));
+  if (deliver_next_ > kRetireHorizon) {
+    floor = std::max(floor, deliver_next_ - kRetireHorizon);
+  }
+  while (floor < deliver_next_) {
+    auto it = epochs_.find(floor);
+    if (it != epochs_.end() && !it->second.settled()) break;
+    ++floor;
+  }
+  if (floor == retired_floor_) return;
+  epochs_.erase(epochs_.begin(), epochs_.lower_bound(floor));
+  retired_floor_ = floor;
 }
 
 // The delivery rule (Fig. 17, Phase 2), for every origin. A block committed
@@ -1041,7 +1069,6 @@ void DlNode::try_install_catch_up() {
     }
     close_epoch(at, ep.count);
     ++stats_.caught_up_epochs;
-    epochs_.erase(at);  // any local BA state for it can never matter again
     round_.epochs.erase(it);
     installed = true;
   }

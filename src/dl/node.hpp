@@ -180,6 +180,18 @@ class DlNode : public runtime::Receiver {
   Hash delivery_fingerprint() const { return fingerprint_; }
   std::uint64_t next_epoch_to_deliver() const { return deliver_next_; }
 
+  // Epoch retirement. An epoch below deliver_next_ whose BAs all halted and
+  // whose VID instances each served every peer but their proposer is
+  // retired: its DLEpoch (chunks, proofs, BA state) is erased and later
+  // VID/BA messages for it are counted and dropped. An epoch kRetireHorizon
+  // behind deliver_next_ is retired regardless, so a crashed or muted peer
+  // cannot pin memory; a peer that asks later recovers through coded
+  // catch-up, which needs a LedgerStore on the serving side. The floor
+  // only rises.
+  static constexpr std::uint64_t kRetireHorizon = 256;
+  std::uint64_t retired_floor() const { return retired_floor_; }
+  std::size_t live_epochs() const { return epochs_.size(); }
+
   // Durable storage. Call before start(): replays the store's committed
   // prefix through the same commit path as live delivery and catch-up
   // (delivered set, fingerprint chain, delivery stats), restores the
@@ -238,6 +250,8 @@ class DlNode : public runtime::Receiver {
   // committed, for live delivery and catch-up alike; `blocks` labels the
   // flight event.
   void close_epoch(std::uint64_t at, std::uint64_t blocks);
+  // Raises retired_floor_ over every retirable epoch and erases their state.
+  void retire_epochs();
 
   // Durability + catch-up.
   void recover_from_store();
@@ -276,6 +290,7 @@ class DlNode : public runtime::Receiver {
 
   // Delivery state.
   std::uint64_t deliver_next_ = 0;
+  std::uint64_t retired_floor_ = 0;  // no DLEpoch below; only rises
   std::set<BlockKey> delivered_;
   std::set<BlockKey> linked_pending_;           // queued by linking
   std::vector<std::uint64_t> linked_scanned_;   // per-proposer scan frontier

@@ -61,6 +61,10 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
     g_input_queue_bytes_ = reg.gauge(
         "dl_node_input_queue_bytes",
         "submitted-but-not-proposed transaction backlog (wire bytes)");
+    g_live_epochs_ = reg.gauge("dl_node_live_epochs",
+                               "epochs holding VID/BA state (not retired)");
+    g_retired_floor_ = reg.gauge("dl_node_retired_floor",
+                                 "epochs below this have been retired");
   }
 
   if (src_.env != nullptr && src_.node != nullptr) {
@@ -195,6 +199,9 @@ void NodeExporter::refresh() {
     c_catch_up_msgs_->set(s.catch_up_msgs_received);
     g_input_queue_bytes_->set(
         static_cast<std::int64_t>(src_.node->input_queue_bytes()));
+    g_live_epochs_->set(static_cast<std::int64_t>(src_.node->live_epochs()));
+    g_retired_floor_->set(
+        static_cast<std::int64_t>(src_.node->retired_floor()));
   }
 
   if (src_.env != nullptr && !peers_.empty()) {

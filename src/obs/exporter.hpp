@@ -94,6 +94,8 @@ class NodeExporter {
   Counter* c_catch_up_rounds_ = nullptr;
   Counter* c_catch_up_msgs_ = nullptr;
   Gauge* g_input_queue_bytes_ = nullptr;
+  Gauge* g_live_epochs_ = nullptr;
+  Gauge* g_retired_floor_ = nullptr;
 
   // transport (per peer + shaper totals)
   struct PeerSeries {

@@ -119,6 +119,16 @@ void AvidMServer::serve(int requester, Outbox& out) {
   out.push_back(unicast(requester, MsgKind::VidReturnChunk, my_chunk_->encode()));
 }
 
+bool AvidMServer::served_every_peer(int proposer) const {
+  if (!complete_ || !deferred_requests_.empty()) return false;
+  for (int i = 0; i < p_.n; ++i) {
+    if (i != proposer && !request_seen_[static_cast<std::size_t>(i)]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool AvidMServer::handle(int from, MsgKind kind, ByteView body, Outbox& out) {
   switch (kind) {
     case MsgKind::VidChunk: {

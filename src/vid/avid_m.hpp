@@ -65,6 +65,10 @@ class AvidMServer {
   // Root agreed at completion (valid once complete()).
   const Hash& chunk_root() const { return chunk_root_; }
   bool has_chunk() const { return my_chunk_.has_value(); }
+  // True once this instance owes no peer anything: dispersal completed,
+  // every peer other than `proposer` has asked for its chunk, and no request
+  // is still deferred. The proposer holds the block itself and never asks.
+  bool served_every_peer(int proposer) const;
 
  private:
   void maybe_send_ready(const Hash& r, Outbox& out);

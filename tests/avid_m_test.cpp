@@ -276,6 +276,69 @@ TEST(AvidM, RequestBeforeCompleteIsDeferred) {
   EXPECT_EQ(c.retrievers[3].result(), block);
 }
 
+// The retirement predicate of one server (self = 1, proposer = 0): it holds
+// only once dispersal completed, every peer except the proposer asked, and
+// nothing is left deferred.
+TEST(AvidM, ServedEveryPeerTurnsTrueWithTheLastServedRequest) {
+  const Params p{4, 1};
+  const int proposer = 0, self = 1;
+  const auto chunks = avid_m_disperse(p, random_bytes(900, 6));
+  const Hash root = chunks[0].root;
+  auto count_returns = [](const Outbox& out) {
+    int k = 0;
+    for (const OutMsg& m : out) k += m.env.kind == MsgKind::VidReturnChunk;
+    return k;
+  };
+  auto complete = [&](AvidMServer& s, Outbox& out) {
+    for (int from : {0, 2, 3}) s.handle_ready(from, RootMsg{root}, out);
+  };
+
+  // Every non-proposer asks while the server is still incomplete: the
+  // requests are deferred, so nothing has been served yet.
+  AvidMServer early(p, self);
+  Outbox out;
+  for (int from : {1, 2, 3}) early.handle_request_chunk(from, out);
+  early.handle_chunk(chunks[static_cast<std::size_t>(self)], out);
+  EXPECT_FALSE(early.served_every_peer(proposer));
+  for (int from : {0, 2}) early.handle_ready(from, RootMsg{root}, out);
+  EXPECT_FALSE(early.served_every_peer(proposer));
+  out.clear();
+  early.handle_ready(3, RootMsg{root}, out);  // completes; flushes the three
+  EXPECT_TRUE(early.complete());
+  EXPECT_EQ(count_returns(out), 3);
+  EXPECT_TRUE(early.served_every_peer(proposer));
+
+  // Complete but chunkless: requests stay deferred until the chunk lands.
+  AvidMServer chunkless(p, self);
+  out.clear();
+  complete(chunkless, out);
+  ASSERT_TRUE(chunkless.complete());
+  for (int from : {1, 2, 3}) chunkless.handle_request_chunk(from, out);
+  EXPECT_FALSE(chunkless.served_every_peer(proposer));
+  out.clear();
+  chunkless.handle_chunk(chunks[static_cast<std::size_t>(self)], out);
+  EXPECT_EQ(count_returns(out), 3);
+  EXPECT_TRUE(chunkless.served_every_peer(proposer));
+
+  // Complete with its chunk: false while any non-proposer has not asked
+  // (the proposer's own request counts for nothing), true on the last one.
+  AvidMServer late(p, self);
+  out.clear();
+  late.handle_chunk(chunks[static_cast<std::size_t>(self)], out);
+  complete(late, out);
+  ASSERT_TRUE(late.complete());
+  EXPECT_FALSE(late.served_every_peer(proposer));
+  late.handle_request_chunk(proposer, out);
+  EXPECT_FALSE(late.served_every_peer(proposer));
+  late.handle_request_chunk(3, out);
+  late.handle_request_chunk(self, out);
+  EXPECT_FALSE(late.served_every_peer(proposer));
+  out.clear();
+  late.handle_request_chunk(2, out);
+  EXPECT_EQ(count_returns(out), 1);
+  EXPECT_TRUE(late.served_every_peer(proposer));
+}
+
 TEST(AvidM, DisperseChunkCount) {
   const Params p{16, 5};
   const auto msgs = avid_m_disperse(p, random_bytes(10000, 6));

@@ -452,6 +452,105 @@ TEST(DlNode, AbsurdEpochMessageBounded) {
   for (auto* node : c.nodes) EXPECT_GT(node->stats().delivered_epochs, 0u);
 }
 
+// --- epoch retirement -------------------------------------------------------
+
+// A 4-node backlog cluster. Node 3's link drops to a tenth of the others'
+// rate for 2 s out of every 10, so some of its blocks miss their epoch's BA
+// and are delivered later by linking, yet it catches up in between; with
+// `crash_last` node 3 is crashed instead. `max_live` records, over every
+// running node and every sampled instant, the most epochs holding state.
+struct RetireRun {
+  Cluster c;
+  std::size_t max_live = 0;
+
+  RetireRun(bool crash_last, double seconds)
+      : c([] {
+          sim::NetworkConfig net = sim::NetworkConfig::uniform(4, 0.02, 2e6);
+          std::vector<double> rates;
+          for (int k = 0; k < 200; ++k) rates.push_back(k % 10 < 2 ? 0.2e6 : 2e6);
+          net.egress[3] = sim::Trace(rates, 1.0);
+          net.ingress[3] = sim::Trace(rates, 1.0);
+          return net;
+        }()) {
+    const int n = 4, f = 1;
+    for (int i = 0; i < n; ++i) {
+      if (crash_last && i == n - 1) {
+        c.add_crashed(i);
+        continue;
+      }
+      auto cfg = NodeConfig::dispersed_ledger(n, f, i);
+      cfg.max_block_bytes = 20'000;
+      cfg.backlog_tx_bytes = 250;
+      c.add_node(cfg);
+    }
+    for (double t = 0.5; t < seconds; t += 0.5) {
+      c.sim.queue().at(t, [this] {
+        for (DlNode* node : c.nodes) {
+          if (node != nullptr) max_live = std::max(max_live, node->live_epochs());
+        }
+      });
+    }
+    c.sim.run_until(seconds);
+  }
+};
+
+TEST(DlNodeRetire, LongHonestRunKeepsLiveEpochsBounded) {
+  RetireRun r(/*crash_last=*/false, 80.0);
+  std::uint64_t linked = 0;
+  for (DlNode* node : r.c.nodes) {
+    linked += node->stats().delivered_linked_blocks;
+    // The run outlasts the horizon, yet the floor trails delivery by only
+    // a few epochs: they retired because they settled.
+    EXPECT_GT(node->stats().delivered_epochs, DlNode::kRetireHorizon);
+    EXPECT_GE(node->retired_floor() + 16, node->next_epoch_to_deliver());
+  }
+  EXPECT_GT(linked, 0u);
+  EXPECT_LE(r.max_live, 16u);
+  r.c.expect_all_logs_consistent();
+}
+
+TEST(DlNodeRetire, CrashedPeerBoundsLiveEpochsByTheHorizon) {
+  // The crashed node never asks for a chunk, so no epoch ever settles:
+  // only the horizon retires them.
+  RetireRun r(/*crash_last=*/true, 120.0);
+  for (int i = 0; i < 3; ++i) {
+    const DlNode* node = r.c.nodes[static_cast<std::size_t>(i)];
+    const std::uint64_t next = node->next_epoch_to_deliver();
+    ASSERT_GT(next, DlNode::kRetireHorizon + 32);
+    EXPECT_EQ(node->retired_floor(), next - DlNode::kRetireHorizon);
+  }
+  // The horizon plus the few epochs in flight above deliver_next.
+  EXPECT_LE(r.max_live, DlNode::kRetireHorizon + 8);
+  EXPECT_GE(r.max_live, DlNode::kRetireHorizon);
+  r.c.expect_all_logs_consistent();
+}
+
+TEST(DlNodeRetire, LateMessagesForRetiredEpochsAreCountedAndDropped) {
+  RetireRun r(/*crash_last=*/false, 20.0);
+  DlNode* node = r.c.nodes[0];
+  const std::uint64_t floor = node->retired_floor();
+  ASSERT_GT(floor, 2u);
+  const std::size_t live = node->live_epochs();
+  const NodeStats before = node->stats();
+
+  auto inject = [&](MsgKind kind, std::uint64_t epoch, Bytes body) {
+    Envelope env;
+    env.kind = kind;
+    env.epoch = epoch;
+    env.instance = 1;
+    env.body = std::move(body);
+    node->on_receive(2, env.encode());
+  };
+  for (std::uint64_t e : {floor - 1, std::uint64_t{0}}) {
+    inject(MsgKind::BaBval, e, ba::BaRoundMsg{0, true}.encode());
+    inject(MsgKind::VidReady, e, vid::RootMsg{Hash{}}.encode());
+  }
+  EXPECT_EQ(node->live_epochs(), live);
+  EXPECT_EQ(node->retired_floor(), floor);
+  EXPECT_EQ(node->stats().ba_msgs_received, before.ba_msgs_received + 2);
+  EXPECT_EQ(node->stats().ba_msgs_sent, before.ba_msgs_sent);
+}
+
 // --- durable store: recovery replay and VID-coded catch-up ------------------
 
 struct StoreDirs {
@@ -583,6 +682,58 @@ TEST(DlNodeStore, LateJoinerCatchesUpViaCodedChunks) {
   Cluster::expect_prefix_consistent(c.logs[0], c.logs[3]);
   // Everything it pulled is in its own store, ready to serve others.
   EXPECT_EQ(stores[3]->delivered_frontier(), js.delivered_epochs);
+}
+
+TEST(DlNodeStore, ReplicaDarkPastTheHorizonCatchesUpFromStores) {
+  // Nodes 0..2 persist from t=0; node 3 stays dark until they have retired
+  // epochs by the horizon (it never asked for their chunks, so live
+  // retrieval of that history is gone). It then joins with an empty store
+  // and must rebuild the identical ledger through coded catch-up. Once the
+  // horizon passes the epochs it installed that way, every epoch settles
+  // again and the retired floor closes up to delivery.
+  const int n = 4, f = 1;
+  StoreDirs dirs;
+  std::vector<std::unique_ptr<storage::LedgerStore>> stores(4);
+  Cluster c(sim::NetworkConfig::uniform(n, 0.02, 2e6));
+  for (int i = 0; i < 3; ++i) {
+    DlNode* node =
+        c.add_node(with_catch_up(NodeConfig::dispersed_ledger(n, f, i)));
+    stores[static_cast<std::size_t>(i)] = open_store(dirs.node_dir(i));
+    ASSERT_NE(stores[static_cast<std::size_t>(i)], nullptr);
+    node->attach_store(stores[static_cast<std::size_t>(i)].get());
+  }
+  c.add_crashed(3);
+  for (int i = 0; i < 3; ++i) {
+    for (int k = 0; k < 160; ++k) {
+      DlNode* node = c.nodes[static_cast<std::size_t>(i)];
+      c.sim.queue().at(0.5 * k, [node, i, k] {
+        node->submit(
+            random_bytes(1000, static_cast<std::uint64_t>(i * 1000 + k)));
+      });
+    }
+  }
+  std::uint64_t floor_at_join = 0;
+  c.sim.queue().at(80.0, [&] {
+    floor_at_join = c.nodes[0]->retired_floor();
+    DlNode* node =
+        c.add_node(with_catch_up(NodeConfig::dispersed_ledger(n, f, 3)));
+    stores[3] = open_store(dirs.node_dir(3));
+    if (stores[3] == nullptr) return;
+    node->attach_store(stores[3].get());
+    c.envs.back()->start();  // mid-run attach: fire start() ourselves
+  });
+  c.sim.run_until(150.0);
+
+  ASSERT_GT(floor_at_join, 0u);
+  DlNode* joiner = c.nodes[3];
+  ASSERT_NE(joiner, nullptr);
+  const NodeStats& js = joiner->stats();
+  EXPECT_GT(js.caught_up_epochs, floor_at_join);
+  EXPECT_GE(js.delivered_epochs + 8, c.nodes[0]->stats().delivered_epochs);
+  ASSERT_GT(c.logs[3].size(), c.logs[0].size() / 2);
+  Cluster::expect_prefix_consistent(c.logs[0], c.logs[3]);
+  c.expect_all_logs_consistent();
+  for (const DlNode* node : c.nodes) EXPECT_LE(node->live_epochs(), 16u);
 }
 
 // --- one delivery funnel: live, catch-up and replay commit alike -----------
