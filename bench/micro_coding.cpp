@@ -17,6 +17,9 @@
 //   reconstruct_n{N}_{B}_<kernel> — decode from the 2f-survivor worst case
 //                                  (all data chunks lost)
 //   merkle_n{N}_{B}_<kernel>   — MerkleTree over the N encoded chunks
+//   crc32c_<kernel>            — the ledger store's record checksum over one
+//                                64 KB record, per supported CRC32C kernel
+//                                (table, sse42)
 //
 // `ops` counts processed bytes (the block size per rep), so ops_per_sec is
 // bytes/sec; the printed table shows MB/s.
@@ -29,6 +32,7 @@
 #include "erasure/gf256_dispatch.hpp"
 #include "erasure/reed_solomon.hpp"
 #include "merkle/merkle_tree.hpp"
+#include "storage/crc32c.hpp"
 
 using namespace dl;
 
@@ -77,7 +81,9 @@ int main() {
   PinKernels::sha_best = sha256_active_kernel();
   const char* gf_best_name = gf256::kernel_name(PinKernels::gf_best);
   const char* sha_best_name = sha_kernel_name(PinKernels::sha_best);
-  std::printf("dispatch: gf256=%s sha256=%s%s\n", gf_best_name, sha_best_name,
+  std::printf("dispatch: gf256=%s sha256=%s crc32c=%s%s\n", gf_best_name,
+              sha_best_name,
+              storage::crc32c_kernel_name(storage::crc32c_active_kernel()),
               PinKernels::gf_best == gf256::Kernel::Scalar &&
                       PinKernels::sha_best == ShaKernel::Scalar
                   ? " (scalar pinned)"
@@ -96,6 +102,19 @@ int main() {
       run_row(rows, "gf_mul_add_64KB", gf256::kernel_name(k), reps, row_bytes,
               [&] { gf256::mul_add_row_with(k, dst.data(), src.data(), 0x57, row_bytes); });
     }
+  }
+
+  // CRC32C rows, one per supported kernel, like the GF rows above.
+  {
+    const std::size_t rec_bytes = 64 * 1024;
+    const Bytes rec = random_bytes(rec_bytes, 3);
+    const int reps = full ? 8192 : 2048;
+    std::uint32_t acc = 0;
+    for (const storage::Crc32cKernel k : storage::crc32c_supported_kernels()) {
+      run_row(rows, "crc32c", storage::crc32c_kernel_name(k), reps, rec_bytes,
+              [&] { acc ^= storage::crc32c_with(k, rec, acc); });
+    }
+    std::printf("crc32c chain: %08x\n", acc);  // keeps the checksums live
   }
 
   // Full-pipeline rows at the paper deployments.

@@ -38,6 +38,10 @@
 #                 open-ended, is SIGTERMed once every honest replica
 #                 finishes, and is excluded from the prefix checks; the
 #                 honest replicas must still commit an identical prefix.
+#   -I MS         selfdrive offers one 256 B transaction every MS ms per
+#                 replica (dlnoded --tx-interval-ms; default 5). A shaped
+#                 run (-B) needs an interval whose coded load fits under the
+#                 trace's lowest rate, or blocks and epochs grow without end.
 #   -B TRACE      shape every replica's egress with a bandwidth trace file
 #                 (bench/traces format); installs a wildcard [[link]] rule
 #                 in the generated config, so one trace drives the whole
@@ -81,7 +85,8 @@ KEEP=0
 ADVERSARY=""
 TRACE=""
 ADMIN=0
-while getopts "n:e:b:p:t:Lc:r:o:SF:KkA:B:M" opt; do
+TX_INTERVAL=""
+while getopts "n:e:b:p:t:Lc:r:o:SF:KkA:I:B:M" opt; do
   case "$opt" in
     n) N="$OPTARG" ;;
     e) EPOCHS="$OPTARG" ;;
@@ -97,6 +102,7 @@ while getopts "n:e:b:p:t:Lc:r:o:SF:KkA:B:M" opt; do
     K) CRASH=1; STORE=1 ;;
     k) KEEP=1 ;;
     A) ADVERSARY="$OPTARG" ;;
+    I) TX_INTERVAL="$OPTARG" ;;
     B) TRACE="$OPTARG" ;;
     M) ADMIN=1 ;;
     *) exit 2 ;;
@@ -108,6 +114,10 @@ if [ "$CRASH" -eq 1 ] && [ "$LOADGEN" -eq 1 ]; then
 fi
 if [ -n "$ADVERSARY" ] && [ "$LOADGEN" -eq 1 ]; then
   echo "run_local_cluster: -A requires selfdrive mode (drop -L)" >&2
+  exit 2
+fi
+if [ -n "$TX_INTERVAL" ] && [ "$LOADGEN" -eq 1 ]; then
+  echo "run_local_cluster: -I requires selfdrive mode (drop -L)" >&2
   exit 2
 fi
 if [ -n "$ADVERSARY" ] && [ "$CRASH" -eq 1 ]; then
@@ -179,6 +189,9 @@ launch_replica() {
     extra+=(--selfdrive --target-epochs 0 --adversary "$ADVERSARY")
   else
     extra+=(--selfdrive --target-epochs "$EPOCHS")
+  fi
+  if [ -n "$TX_INTERVAL" ]; then
+    extra+=(--tx-interval-ms "$TX_INTERVAL")
   fi
   if [ "$STORE" -eq 1 ]; then
     extra+=(--store "$WORK/store_$i" --fsync "$FSYNC" --catchup-ms 100)

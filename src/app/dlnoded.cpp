@@ -282,11 +282,12 @@ int main(int argc, char** argv) {
   }
 
   // The one ledger-line formatter, shared by live delivery and boot replay.
+  // `digest` is DlNode::ledger_digest(), taken inside the callback.
   auto write_ledger_line = [ledger](std::uint64_t at_epoch, core::BlockKey key,
-                                    const core::Block& block) {
+                                    const Hash& digest) {
     if (ledger == nullptr) return;
     std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %d %s\n", at_epoch,
-                 key.epoch, key.proposer, sha256(block.encode()).hex().c_str());
+                 key.epoch, key.proposer, digest.hex().c_str());
   };
 
   const net::NodeAddr& me = cluster->nodes[static_cast<std::size_t>(flags.id)];
@@ -358,7 +359,7 @@ int main(int argc, char** argv) {
       node->attach_store(store.get(), [&](std::uint64_t at_epoch,
                                           core::BlockKey key,
                                           const core::Block& block, double) {
-        write_ledger_line(at_epoch, key, block);
+        write_ledger_line(at_epoch, key, node->ledger_digest());
         if (gateway == nullptr) return;
         const auto proposer = static_cast<std::uint32_t>(key.proposer);
         for (const core::Transaction& tx : block.txs) {
@@ -433,7 +434,7 @@ int main(int argc, char** argv) {
 
   node->set_delivery_callback([&](std::uint64_t at_epoch, core::BlockKey key,
                                   const core::Block& block, double now) {
-    write_ledger_line(at_epoch, key, block);
+    write_ledger_line(at_epoch, key, node->ledger_digest());
     if (adv.kind == adversary::RealAdversary::Kind::CrashAtEpoch &&
         at_epoch >= adv.crash_epoch) {
       // Abrupt death, not graceful shutdown: no linger, no Goodbye frames,

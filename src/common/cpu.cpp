@@ -19,6 +19,7 @@ unsigned long long read_xcr0() { return _xgetbv(0); }
 
 struct Probe {
   bool ssse3 = false;
+  bool sse42 = false;
   bool avx2 = false;
   bool sha_ni = false;
 
@@ -26,6 +27,7 @@ struct Probe {
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
     if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
       ssse3 = (ecx & (1u << 9)) != 0;
+      sse42 = (ecx & (1u << 20)) != 0;
       // AVX2 additionally needs the OS to save YMM state: OSXSAVE set and
       // XCR0 reporting XMM|YMM enabled.
       const bool osxsave = (ecx & (1u << 27)) != 0;
@@ -56,6 +58,14 @@ const Probe& probe() {
 bool has_ssse3() {
 #if defined(__x86_64__)
   return probe().ssse3;
+#else
+  return false;
+#endif
+}
+
+bool has_sse42() {
+#if defined(__x86_64__)
+  return probe().sse42;
 #else
   return false;
 #endif

@@ -1,7 +1,8 @@
 /// \file
 /// Runtime CPU-feature detection shared by the SIMD data-plane dispatchers:
-/// the GF(2^8) row kernels (`src/erasure/gf256_dispatch.hpp`) and the
-/// SHA-256 compression function (`src/crypto/sha256.hpp`).
+/// the GF(2^8) row kernels (`src/erasure/gf256_dispatch.hpp`), the SHA-256
+/// compression function (`src/crypto/sha256.hpp`) and the store's CRC32C
+/// (`src/storage/crc32c.hpp`).
 ///
 /// All probes are executed once (thread-safe function-local statics) and
 /// return `false` on non-x86-64 builds, so callers can branch on them
@@ -14,6 +15,9 @@ namespace dl::cpu {
 
 /// CPUID.1:ECX.SSSE3 — 128-bit `pshufb` (the nibble-table GF kernels).
 bool has_ssse3();
+
+/// CPUID.1:ECX.SSE4.2 — the `crc32` instruction (CRC32C in hardware).
+bool has_sse42();
 
 /// CPUID.7.0:EBX.AVX2, plus OSXSAVE/XGETBV confirmation that the OS
 /// preserves YMM state across context switches.

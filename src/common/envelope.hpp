@@ -78,17 +78,39 @@ struct Envelope {
     return std::move(w).take();
   }
 
-  static std::optional<Envelope> decode(ByteView in) {
+  // Owning decode (copies the body). The receive path uses EnvelopeView.
+  static std::optional<Envelope> decode(ByteView in);
+};
+
+// A decoded envelope whose body aliases the input buffer: what a receiver
+// parses a transport frame into, so a message that is dropped is never
+// copied. Valid only while the input is; handlers that keep body bytes copy
+// them themselves.
+struct EnvelopeView {
+  MsgKind kind{};
+  std::uint64_t epoch = 0;
+  std::uint32_t instance = 0;
+  ByteView body;
+
+  // Same acceptance rule as Envelope::decode (which is built on this).
+  static std::optional<EnvelopeView> decode(ByteView in) {
     Reader r(in);
-    Envelope e;
+    EnvelopeView e;
     e.kind = static_cast<MsgKind>(r.u8());
     e.epoch = r.u64();
     e.instance = r.u32();
-    e.body = r.bytes();
+    e.body = r.bytes_view();
     if (!r.done()) return std::nullopt;
     return e;
   }
 };
+
+inline std::optional<Envelope> Envelope::decode(ByteView in) {
+  const std::optional<EnvelopeView> v = EnvelopeView::decode(in);
+  if (!v.has_value()) return std::nullopt;
+  return Envelope{v->kind, v->epoch, v->instance,
+                  Bytes(v->body.begin(), v->body.end())};
+}
 
 // A protocol-layer outgoing message, before network wrapping. `to == kAll`
 // requests a broadcast (including the sender itself).

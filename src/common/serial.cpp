@@ -61,14 +61,23 @@ std::uint64_t Reader::u64() {
 }
 
 Bytes Reader::bytes() {
-  std::uint32_t n = u32();
-  return raw(n);
+  const ByteView v = bytes_view();
+  return Bytes(v.begin(), v.end());
 }
 
 Bytes Reader::raw(std::size_t n) {
+  const ByteView v = raw_view(n);
+  return Bytes(v.begin(), v.end());
+}
+
+ByteView Reader::bytes_view() {
+  const std::uint32_t n = u32();
+  return raw_view(n);
+}
+
+ByteView Reader::raw_view(std::size_t n) {
   if (!take(n)) return {};
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const ByteView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

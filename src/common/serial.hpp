@@ -25,6 +25,9 @@ class Writer {
   void bytes(ByteView b);
   // Raw bytes without a length prefix (caller knows the size).
   void raw(ByteView b);
+  // Capacity hint: an encoder that knows its size reserves once, so a large
+  // field is copied into the buffer once and never again by a regrowth.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const Bytes& data() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
@@ -45,6 +48,10 @@ class Reader {
   Bytes bytes();
   // Exactly `n` raw bytes.
   Bytes raw(std::size_t n);
+  // The same two reads without a copy: the view aliases the input and is
+  // valid only as long as it is. Empty on failure.
+  ByteView bytes_view();
+  ByteView raw_view(std::size_t n);
 
   // True if every read so far was in-bounds and all input was plausible.
   bool ok() const { return ok_; }

@@ -37,10 +37,31 @@ struct Block {
 
   Bytes encode() const;
   static std::optional<Block> decode(ByteView in, int expected_n);
+  // decode(in, expected_n)->v_array, or nullopt exactly when decode fails,
+  // without copying a transaction: the same framing walk, skipping
+  // payloads.
+  static std::optional<std::vector<std::uint64_t>> read_v_array(
+      ByteView in, int expected_n);
 
   // Total bytes of transaction payloads (the "useful" throughput).
   std::uint64_t payload_bytes() const;
   bool empty() const { return txs.empty(); }
 };
+
+// The one bad-uploader predicate: badness is a property of the committed
+// bytes (the AVID-M BAD_UPLOADER sentinel), so live retrieval, catch-up and
+// replay cannot disagree on it.
+bool is_bad_uploader(ByteView content);
+
+// The delivery rule for committed bytes (§4.3): the BAD_UPLOADER sentinel
+// and bytes that do not decode become an empty block observing [inf, ...];
+// a block without a V array observes [0, ...]. `*verbatim`, when given, is
+// set iff the result re-encodes to `content` byte for byte (the bytes
+// decoded and carried a full V array).
+Block decode_or_poison(ByteView content, int n, bool* verbatim = nullptr);
+
+// decode_or_poison(content, n).v_array without materialising the
+// transactions — all the linking pass reads of a committed block.
+std::vector<std::uint64_t> observation_or_poison(ByteView content, int n);
 
 }  // namespace dl::core

@@ -31,12 +31,6 @@ bool is_ba_kind(MsgKind k) {
   return k == MsgKind::BaBval || k == MsgKind::BaAux || k == MsgKind::BaDone;
 }
 
-// The one bad-uploader predicate: badness is a property of the committed
-// bytes, so live retrieval, catch-up and replay cannot disagree on it.
-bool is_bad_uploader(ByteView content) {
-  return equal(content, bytes_of(vid::kBadUploader));
-}
-
 }  // namespace
 
 NodeConfig NodeConfig::dispersed_ledger(int n, int f, int self) {
@@ -335,9 +329,9 @@ void DlNode::propose_now() {
 // --- message handling --------------------------------------------------------
 
 void DlNode::on_receive(int from, ByteView bytes) {
-  auto env_opt = Envelope::decode(bytes);
+  const std::optional<EnvelopeView> env_opt = EnvelopeView::decode(bytes);
   if (!env_opt.has_value()) return;  // Byzantine noise
-  Envelope& env = *env_opt;
+  const EnvelopeView& env = *env_opt;
   if (env.instance >= static_cast<std::uint32_t>(cfg_.n)) return;
   if (env.epoch > propose_epoch_ + kMaxEpochSkew &&
       env.epoch > deliver_next_ + kMaxEpochSkew) {
@@ -385,7 +379,7 @@ void DlNode::on_receive(int from, ByteView bytes) {
   retire_epochs();
 }
 
-void DlNode::handle_vid_message(int from, const Envelope& env) {
+void DlNode::handle_vid_message(int from, const EnvelopeView& env) {
   // Only node j may disperse into VID_j^e: drop impersonated Chunk messages
   // (§4.2 footnote 3).
   if (env.kind == MsgKind::VidChunk && from != static_cast<int>(env.instance)) {
@@ -398,7 +392,7 @@ void DlNode::handle_vid_message(int from, const Envelope& env) {
   after_vid_activity(env.epoch, static_cast<int>(env.instance));
 }
 
-void DlNode::handle_ba_message(int from, const Envelope& env) {
+void DlNode::handle_ba_message(int from, const EnvelopeView& env) {
   DLEpoch& st = epoch_state(env.epoch);
   Outbox out;
   st.ba(static_cast<int>(env.instance)).handle(from, env.kind, env.body, out);
@@ -406,18 +400,24 @@ void DlNode::handle_ba_message(int from, const Envelope& env) {
   after_ba_activity(env.epoch);
 }
 
-void DlNode::handle_return_chunk(int from, const Envelope& env) {
-  vid::ReturnChunkMsg m;
-  if (!vid::ReturnChunkMsg::decode(env.body, m)) return;
+void DlNode::handle_return_chunk(int from, const EnvelopeView& env) {
   const BlockKey key{env.epoch, static_cast<int>(env.instance)};
+  // A chunk the retrieval would reject anyway — not requested, already
+  // decoding or done (it arrived after our VidCancel was sent), or a
+  // duplicate sender — costs no copy and no hash: it is dropped unparsed.
+  if (!retrievals_.accepting(from, key)) return;
+  vid::ChunkView m;
+  if (!vid::ChunkView::decode(env.body, m)) return;
   if (retrievals_.feed_chunk(from, key, m) != RetrievalManager::Feed::kReady) {
     return;
   }
   // Enough chunks: run the RS decode + re-encode + Merkle check through the
-  // executor seam. The job owns value copies of its inputs; the retrieval
-  // stays active (rejecting further chunks) until the continuation installs
-  // the outcome, which re-checks liveness in case it was released meanwhile.
-  auto job = std::make_shared<const vid::DecodeJob>(retrievals_.decode_job(key));
+  // executor seam. The job owns its inputs (the retriever's chunks, moved);
+  // the retrieval stays active (rejecting further chunks) until the
+  // continuation installs the outcome, which re-checks liveness in case it
+  // was released meanwhile.
+  auto job =
+      std::make_shared<const vid::DecodeJob>(retrievals_.take_decode_job(key));
   auto result = std::make_shared<vid::DecodeResult>();
   const std::uint64_t e = env.epoch;
   const std::uint32_t instance = env.instance;
@@ -438,7 +438,7 @@ void DlNode::handle_return_chunk(int from, const Envelope& env) {
       });
 }
 
-void DlNode::handle_cancel(int from, const Envelope& env) {
+void DlNode::handle_cancel(int from, const EnvelopeView& env) {
   // Client `from` decoded block (epoch, instance): drop the ReturnChunk we
   // may still have queued for it.
   env_.cancel_send(retrieval_tag(env.epoch, env.instance, from));
@@ -587,19 +587,6 @@ void DlNode::on_block_available(BlockKey key) {
   try_deliver();
 }
 
-Block DlNode::decode_or_poison(ByteView content) const {
-  Block poison;
-  poison.v_array.assign(static_cast<std::size_t>(cfg_.n), kInfObservation);
-  if (is_bad_uploader(content)) return poison;
-  auto block = Block::decode(content, cfg_.n);
-  if (!block.has_value()) return poison;
-  if (block->v_array.empty()) {
-    // Blocks without observations claim nothing.
-    block->v_array.assign(static_cast<std::size_t>(cfg_.n), 0);
-  }
-  return std::move(*block);
-}
-
 void DlNode::try_deliver() {
   bool delivered_any = false;
   while (true) {
@@ -621,12 +608,13 @@ void DlNode::try_deliver() {
 
     // Phase 2 steps 3-4: combine observations, queue linked retrievals.
     if (cfg_.inter_node_linking && !st.linked_computed) {
-      // Decode each committed block once; only the V arrays are needed here.
+      // Only the V arrays are needed here: read them without decoding the
+      // transactions (commit() decodes each block once, when it delivers).
       std::vector<std::vector<std::uint64_t>> v_arrays;
       v_arrays.reserve(st.commit_set().size());
       for (int k : st.commit_set()) {
-        const Bytes& content = retrievals_.get(BlockKey{e, k});
-        v_arrays.push_back(decode_or_poison(content).v_array);
+        v_arrays.push_back(
+            observation_or_poison(retrievals_.get(BlockKey{e, k}), cfg_.n));
       }
       std::vector<std::uint64_t> column(v_arrays.size());
       for (int j = 0; j < cfg_.n; ++j) {
@@ -722,7 +710,8 @@ void DlNode::retire_epochs() {
 void DlNode::commit(std::uint64_t at_epoch, BlockKey key, const Bytes& content,
                     Origin origin) {
   const bool bad = is_bad_uploader(content);
-  const Block block = decode_or_poison(content);
+  bool verbatim = false;
+  const Block block = decode_or_poison(content, cfg_.n, &verbatim);
 
   ++stats_.delivered_blocks;
   if (origin == Origin::kCatchUp) ++stats_.caught_up_blocks;
@@ -733,17 +722,22 @@ void DlNode::commit(std::uint64_t at_epoch, BlockKey key, const Bytes& content,
   stats_.input_queue_bytes = input_queue_bytes_.load(std::memory_order_relaxed);
 
   // Chain a fingerprint so tests can compare delivery order across nodes.
+  const Hash content_digest = sha256(content);
   Writer w;
   w.raw(fingerprint_.view());
   w.u64(key.epoch);
   w.u32(static_cast<std::uint32_t>(key.proposer));
-  w.raw(sha256(content).view());
+  w.raw(content_digest.view());
   fingerprint_ = sha256(w.data());
+  // The ledger digest: bytes that decoded as they are re-encode to
+  // themselves, so theirs is the digest just taken. Poison and empty-V
+  // blocks (rewritten by decode_or_poison) hash their canonical encoding.
+  ledger_digest_ = verbatim ? content_digest : sha256(block.encode());
 
   if (store_ != nullptr && origin != Origin::kReplay) {
-    store_->append_block({at_epoch, key.epoch,
-                          static_cast<std::uint32_t>(key.proposer), bad,
-                          content});
+    store_->append_block(at_epoch, key.epoch,
+                         static_cast<std::uint32_t>(key.proposer), bad,
+                         content);
   }
 
   if (flight_ != nullptr && origin == Origin::kCatchUp) {
@@ -829,11 +823,18 @@ void DlNode::request_store_drain() {
 
 // --- catch-up ----------------------------------------------------------------
 
+// A tick starts a round only when nothing moved since the previous tick:
+// no delivery (live or installed by a round) and, if a round is active, no
+// CatchUpChunk/CatchUpDone for it. A round that is still being served or
+// installed is left alone — restarting it would make every store-backed
+// peer serve its whole window again, ahead of their live ReturnChunks.
 void DlNode::catch_up_tick() {
   env_.after(cfg_.catch_up_interval, [this] { catch_up_tick(); });
-  const bool progressed = deliver_next_ != last_probe_deliver_;
+  const bool progressed = deliver_next_ != last_probe_deliver_ ||
+                          (round_.active && round_heard_);
   last_probe_deliver_ = deliver_next_;
-  if (progressed) return;  // live delivery (or a running round) is moving
+  round_heard_ = false;
+  if (progressed) return;
   start_catch_up_round();
 }
 
@@ -858,7 +859,7 @@ void DlNode::start_catch_up_round() {
   }
 }
 
-void DlNode::handle_catch_up_request(int from, const Envelope& env) {
+void DlNode::handle_catch_up_request(int from, const EnvelopeView& env) {
   CatchUpRequestMsg req;
   if (!CatchUpRequestMsg::decode(env.body, req)) return;
   if (store_ == nullptr || from == cfg_.self || from < 0) return;
@@ -926,10 +927,11 @@ void DlNode::handle_catch_up_request(int from, const Envelope& env) {
       });
 }
 
-void DlNode::handle_catch_up_done(int from, const Envelope& env) {
+void DlNode::handle_catch_up_done(int from, const EnvelopeView& env) {
   CatchUpDoneMsg m;
   if (!CatchUpDoneMsg::decode(env.body, m)) return;
   if (!round_.active || m.round_from != round_.from) return;
+  round_heard_ = true;
   round_.frontier_claims[from] = m.frontier;
 
   // Catch-up target: the (f+1)-th largest claimed frontier — the highest
@@ -947,7 +949,7 @@ void DlNode::handle_catch_up_done(int from, const Envelope& env) {
   try_install_catch_up();
 }
 
-void DlNode::handle_catch_up_chunk(int from, const Envelope& env) {
+void DlNode::handle_catch_up_chunk(int from, const EnvelopeView& env) {
   CatchUpChunkMsg m;
   if (!CatchUpChunkMsg::decode(env.body, m)) return;
   if (!round_.active || m.round_from != round_.from) return;
@@ -956,6 +958,7 @@ void DlNode::handle_catch_up_chunk(int from, const Envelope& env) {
     return;
   }
   if (m.block_count > kMaxCatchUpBlocksPerEpoch) return;
+  round_heard_ = true;
 
   CatchUpEpoch& ep = round_.epochs[m.at_epoch];
   ep.count_claims.emplace(from, m.block_count);  // first claim per peer wins
@@ -1001,8 +1004,8 @@ void DlNode::handle_catch_up_chunk(int from, const Envelope& env) {
   }
   if (slot.retriever->offer_chunk(from, m.chunk)) {
     slot.decoding = true;
-    auto job =
-        std::make_shared<const vid::DecodeJob>(slot.retriever->make_decode_job());
+    auto job = std::make_shared<const vid::DecodeJob>(
+        slot.retriever->take_decode_job());
     auto result = std::make_shared<vid::DecodeResult>();
     const std::uint64_t at = m.at_epoch;
     const std::uint32_t index = m.block_index;
@@ -1027,8 +1030,8 @@ void DlNode::handle_catch_up_chunk(int from, const Envelope& env) {
                 vid_params_, cfg_.self);
             return;
           }
-          slot.retriever->complete(std::move(*result));
-          slot.content = slot.retriever->result();
+          slot.content = std::move(result->block);
+          slot.retriever.reset();
           slot.have = true;
           try_install_catch_up();
         });
@@ -1079,7 +1082,6 @@ void DlNode::try_install_catch_up() {
       propose_epoch_ = deliver_next_;
       stats_.current_dispersal_epoch = propose_epoch_;
     }
-    last_probe_deliver_ = deliver_next_;  // counts as progress for the probe
     request_store_drain();
     try_deliver();  // live state may connect at the new frontier
     maybe_propose();

@@ -153,6 +153,13 @@ class DlNode : public runtime::Receiver {
                          const Block& block, double now)>;
   void set_delivery_callback(DeliveryFn fn) { on_deliver_ = std::move(fn); }
 
+  // The ledger digest of the block being handed to the delivery callback or
+  // the replay visitor: sha256(block.encode()), the digest a ledger line
+  // names. Valid inside those calls only. commit() computes it once, from
+  // the digest of the committed bytes it already takes for the fingerprint
+  // chain whenever those bytes re-encode verbatim.
+  const Hash& ledger_digest() const { return ledger_digest_; }
+
   const NodeStats& stats() const { return stats_; }
   const NodeConfig& config() const { return cfg_; }
 
@@ -206,6 +213,9 @@ class DlNode : public runtime::Receiver {
 
   // --- runtime::Receiver --------------------------------------------------
   void start() override;
+  // `bytes` is parsed as an EnvelopeView: every handler below sees a body
+  // that aliases the transport's frame buffer, valid only for this call.
+  // Whatever a handler keeps, it copies — a kept chunk exactly once.
   void on_receive(int from, ByteView bytes) override;
 
  private:
@@ -224,10 +234,10 @@ class DlNode : public runtime::Receiver {
   Block build_block();
 
   // Protocol reactions.
-  void handle_vid_message(int from, const Envelope& env);
-  void handle_ba_message(int from, const Envelope& env);
-  void handle_return_chunk(int from, const Envelope& env);
-  void handle_cancel(int from, const Envelope& env);
+  void handle_vid_message(int from, const EnvelopeView& env);
+  void handle_ba_message(int from, const EnvelopeView& env);
+  void handle_return_chunk(int from, const EnvelopeView& env);
+  void handle_cancel(int from, const EnvelopeView& env);
   void after_vid_activity(std::uint64_t e, int instance);
   void after_ba_activity(std::uint64_t e);
   void note_vid_complete(std::uint64_t e, int instance);
@@ -239,7 +249,6 @@ class DlNode : public runtime::Receiver {
   void start_retrieval(BlockKey key);
   void on_block_available(BlockKey key);
   void try_deliver();
-  Block decode_or_poison(ByteView content) const;
 
   // The single delivery funnel: every committed block passes through
   // commit(), whichever path brought its bytes.
@@ -257,9 +266,9 @@ class DlNode : public runtime::Receiver {
   void recover_from_store();
   void note_activity(std::uint64_t epoch);  // persists the vote/propose floor
   void request_store_drain();
-  void handle_catch_up_request(int from, const Envelope& env);
-  void handle_catch_up_chunk(int from, const Envelope& env);
-  void handle_catch_up_done(int from, const Envelope& env);
+  void handle_catch_up_request(int from, const EnvelopeView& env);
+  void handle_catch_up_chunk(int from, const EnvelopeView& env);
+  void handle_catch_up_done(int from, const EnvelopeView& env);
   void catch_up_tick();
   void start_catch_up_round();
   void try_install_catch_up();
@@ -300,6 +309,7 @@ class DlNode : public runtime::Receiver {
   NodeStats stats_;
   obs::FlightRecorder* flight_ = nullptr;
   Hash fingerprint_{};
+  Hash ledger_digest_{};  // of the block commit() is handing over
 
   // --- durability + catch-up state --------------------------------------
   storage::LedgerStore* store_ = nullptr;
@@ -337,7 +347,10 @@ class DlNode : public runtime::Receiver {
     std::map<std::uint64_t, CatchUpEpoch> epochs;
   };
   CatchUpRound round_;
-  std::uint64_t last_probe_deliver_ = 0;  // progress check between ticks
+  // Progress checks between probe ticks: the delivery frontier, and whether
+  // the active round heard a CatchUpChunk/CatchUpDone since the last tick.
+  std::uint64_t last_probe_deliver_ = 0;
+  bool round_heard_ = false;
   bool catch_up_timer_armed_ = false;
   std::set<int> catch_up_serving_;  // peers with a serve offload in flight
 };

@@ -15,24 +15,28 @@ bool RetrievalManager::ensure_started(BlockKey key, Outbox& out) {
   return inserted;
 }
 
-RetrievalManager::Feed RetrievalManager::feed_chunk(
-    int from, BlockKey key, const vid::ReturnChunkMsg& m) {
+bool RetrievalManager::accepting(int from, BlockKey key) const {
+  auto it = active_.find(key);
+  return it != active_.end() && it->second.accepting(from);
+}
+
+RetrievalManager::Feed RetrievalManager::feed_chunk(int from, BlockKey key,
+                                                    const vid::ChunkView& m) {
   auto it = active_.find(key);
   if (it == active_.end()) return Feed::kNotReady;  // stale or never requested
   return it->second.offer_chunk(from, m) ? Feed::kReady : Feed::kNotReady;
 }
 
-vid::DecodeJob RetrievalManager::decode_job(BlockKey key) const {
-  return active_.at(key).make_decode_job();
+vid::DecodeJob RetrievalManager::take_decode_job(BlockKey key) {
+  return active_.at(key).take_decode_job();
 }
 
 bool RetrievalManager::finish_decode(BlockKey key, vid::DecodeResult r) {
   auto it = active_.find(key);
   if (it == active_.end()) return false;  // released while decoding
-  it->second.complete(std::move(r));
-  done_keys_.insert(key);
-  content_.emplace(key, it->second.result());
   active_.erase(it);
+  done_keys_.insert(key);
+  content_.emplace(key, std::move(r.block));
   ++completed_;
   return true;
 }

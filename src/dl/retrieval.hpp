@@ -44,18 +44,26 @@ class RetrievalManager {
   bool in_flight(BlockKey key) const { return active_.contains(key); }
   std::size_t active_count() const { return active_.size(); }
 
+  // True while the retrieval of `key` is active and would still take a
+  // chunk from `from` (see AvidMRetriever::accepting). A receiver checks
+  // this before parsing a ReturnChunk, so a late or duplicate chunk costs
+  // neither a copy nor a hash.
+  bool accepting(int from, BlockKey key) const;
+
   // Feeds one ReturnChunk. kReady means enough chunks are buffered to
-  // decode: the caller snapshots decode_job(), runs avid_m_run_decode
+  // decode: the caller takes take_decode_job(), runs avid_m_run_decode
   // (inline or offloaded), and installs the outcome via finish_decode.
   // While a decode is pending the retrieval rejects further chunks.
   enum class Feed { kNotReady, kReady };
-  Feed feed_chunk(int from, BlockKey key, const vid::ReturnChunkMsg& m);
+  Feed feed_chunk(int from, BlockKey key, const vid::ChunkView& m);
 
-  // Value snapshot of the decode inputs for a key feed_chunk reported ready.
-  vid::DecodeJob decode_job(BlockKey key) const;
+  // The decode inputs of a key feed_chunk reported ready, handed over by
+  // move (the retriever keeps none of the chunks).
+  vid::DecodeJob take_decode_job(BlockKey key);
 
-  // Installs a decode outcome. Returns true if the retrieval was still live
-  // (content is now available; caller should broadcast VidCancel).
+  // Installs a decode outcome (the block bytes are moved, not copied).
+  // Returns true if the retrieval was still live (content is now available;
+  // caller should broadcast VidCancel).
   bool finish_decode(BlockKey key, vid::DecodeResult r);
 
   // Frees the stored bytes of a delivered block.

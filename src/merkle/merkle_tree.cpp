@@ -17,6 +17,29 @@ Hash inner_hash(const Hash& l, const Hash& r) {
   return sha256_tagged(0x01, ByteView(lr, 64));
 }
 
+// One level up: pairs of nodes hash together, an odd last node with itself.
+std::vector<Hash> parent_level(const std::vector<Hash>& level) {
+  std::vector<Hash> next;
+  next.reserve((level.size() + 1) / 2);
+  for (std::size_t i = 0; i < level.size(); i += 2) {
+    const Hash& l = level[i];
+    const Hash& r = (i + 1 < level.size()) ? level[i + 1] : level[i];
+    next.push_back(inner_hash(l, r));
+  }
+  return next;
+}
+
+// Index in range and sibling count equal to the tree depth for this leaf
+// count — checked before any hashing.
+bool proof_shape_ok(const MerkleProof& proof) {
+  if (proof.leaf_count == 0 || proof.index >= proof.leaf_count) return false;
+  std::size_t expected_depth = 0;
+  for (std::size_t width = proof.leaf_count; width > 1; width = (width + 1) / 2) {
+    ++expected_depth;
+  }
+  return proof.siblings.size() == expected_depth;
+}
+
 }  // namespace
 
 Hash merkle_leaf_hash(ByteView leaf) { return sha256_tagged(0x00, leaf); }
@@ -35,15 +58,7 @@ MerkleTree::MerkleTree(const std::vector<Bytes>& leaves)
   if (leaves.empty()) throw std::invalid_argument("MerkleTree: no leaves");
   levels_.push_back(merkle_leaf_hashes(leaves));
   while (levels_.back().size() > 1) {
-    const std::vector<Hash>& prev = levels_.back();
-    std::vector<Hash> next;
-    next.reserve((prev.size() + 1) / 2);
-    for (std::size_t i = 0; i < prev.size(); i += 2) {
-      const Hash& l = prev[i];
-      const Hash& r = (i + 1 < prev.size()) ? prev[i + 1] : prev[i];
-      next.push_back(inner_hash(l, r));
-    }
-    levels_.push_back(std::move(next));
+    levels_.push_back(parent_level(levels_.back()));
   }
   root_ = levels_.back()[0];
 }
@@ -64,15 +79,14 @@ MerkleProof MerkleTree::prove(std::uint32_t index) const {
 }
 
 bool merkle_verify(const Hash& root, ByteView leaf, const MerkleProof& proof) {
-  if (proof.leaf_count == 0 || proof.index >= proof.leaf_count) return false;
-  // Depth must match the tree shape for this leaf count.
-  std::size_t expected_depth = 0;
-  for (std::size_t width = proof.leaf_count; width > 1; width = (width + 1) / 2) {
-    ++expected_depth;
-  }
-  if (proof.siblings.size() != expected_depth) return false;
+  return proof_shape_ok(proof) &&
+         merkle_verify_path(root, merkle_leaf_hash(leaf), proof);
+}
 
-  Hash acc = merkle_leaf_hash(leaf);
+bool merkle_verify_path(const Hash& root, const Hash& leaf_hash,
+                        const MerkleProof& proof) {
+  if (!proof_shape_ok(proof)) return false;
+  Hash acc = leaf_hash;
   std::size_t i = proof.index;
   std::size_t width = proof.leaf_count;
   for (const Hash& sib : proof.siblings) {
@@ -89,8 +103,16 @@ bool merkle_verify(const Hash& root, ByteView leaf, const MerkleProof& proof) {
   return acc == root;
 }
 
+Hash merkle_root_from_leaf_hashes(std::vector<Hash> leaf_hashes) {
+  if (leaf_hashes.empty()) {
+    throw std::invalid_argument("merkle_root_from_leaf_hashes: no leaves");
+  }
+  while (leaf_hashes.size() > 1) leaf_hashes = parent_level(leaf_hashes);
+  return leaf_hashes[0];
+}
+
 Hash merkle_root(const std::vector<Bytes>& leaves) {
-  return MerkleTree(leaves).root();
+  return merkle_root_from_leaf_hashes(merkle_leaf_hashes(leaves));
 }
 
 Bytes MerkleProof::encode() const {
@@ -110,7 +132,7 @@ bool MerkleProof::decode(ByteView in, MerkleProof& out) {
   if (!r.ok() || n > 64) return false;
   out.siblings.assign(n, Hash{});
   for (std::uint8_t i = 0; i < n; ++i) {
-    Bytes raw = r.raw(32);
+    const ByteView raw = r.raw_view(32);
     if (!r.ok()) return false;
     std::copy(raw.begin(), raw.end(), out.siblings[i].v.begin());
   }

@@ -57,9 +57,20 @@ std::vector<Hash> merkle_leaf_hashes(const std::vector<Bytes>& leaves);
 
 // Recomputes the root implied by (`leaf`, `proof`) and compares with `root`.
 // Returns false on any structural mismatch (wrong index, wrong depth).
+// Equivalent to merkle_verify_path(root, merkle_leaf_hash(leaf), proof),
+// except that a structurally bad proof is rejected before the leaf is hashed.
 bool merkle_verify(const Hash& root, ByteView leaf, const MerkleProof& proof);
 
-// Convenience: root of a chunk set (builds a throwaway tree).
+// The path half of merkle_verify, for a caller that keeps the leaf hash it
+// verified (the AVID-M retriever reuses it in the re-encode check).
+bool merkle_verify_path(const Hash& root, const Hash& leaf_hash,
+                        const MerkleProof& proof);
+
+// Root of the tree whose leaf hashes are `leaf_hashes` (at least one) —
+// the same fold MerkleTree builds its levels with.
+Hash merkle_root_from_leaf_hashes(std::vector<Hash> leaf_hashes);
+
+// Convenience: root of a chunk set.
 Hash merkle_root(const std::vector<Bytes>& leaves);
 
 }  // namespace dl

@@ -1,6 +1,14 @@
 #include "storage/crc32c.hpp"
 
 #include <array>
+#include <cstring>
+
+#include "common/cpu.hpp"
+
+#if defined(__x86_64__) && !defined(DL_FORCE_SCALAR_BUILD)
+#define DL_CRC32C_HW 1
+#include <nmmintrin.h>
+#endif
 
 namespace dl::storage {
 
@@ -34,13 +42,11 @@ const Tables& tables() {
   return instance;
 }
 
-}  // namespace
-
-std::uint32_t crc32c(ByteView data, std::uint32_t init) {
+// Both kernels take and return the register value (the checksum with its
+// pre/post inversion stripped).
+std::uint32_t crc32c_table(const std::uint8_t* p, std::size_t n,
+                           std::uint32_t crc) {
   const auto& t = tables().t;
-  std::uint32_t crc = ~init;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
   while (n >= 8) {
     crc ^= static_cast<std::uint32_t>(p[0]) |
            (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -55,7 +61,79 @@ std::uint32_t crc32c(ByteView data, std::uint32_t init) {
   while (n-- > 0) {
     crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFFu];
   }
-  return ~crc;
+  return crc;
+}
+
+#if defined(DL_CRC32C_HW)
+// The instruction folds 8 little-endian bytes per step; no alignment needed.
+__attribute__((target("sse4.2")))
+std::uint32_t crc32c_sse42(const std::uint8_t* p, std::size_t n,
+                           std::uint32_t crc) {
+  std::uint64_t c = crc;
+  while (n >= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    n -= 8;
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  while (n-- > 0) c32 = _mm_crc32_u8(c32, *p++);
+  return c32;
+}
+#endif
+
+bool supported(Crc32cKernel k) {
+#if defined(DL_CRC32C_HW)
+  if (k == Crc32cKernel::Sse42) return cpu::has_sse42();
+#endif
+  return k == Crc32cKernel::Table;
+}
+
+using CrcFn = std::uint32_t (*)(const std::uint8_t*, std::size_t,
+                                std::uint32_t);
+
+CrcFn kernel_fn(Crc32cKernel k) {
+#if defined(DL_CRC32C_HW)
+  if (k == Crc32cKernel::Sse42 && supported(k)) return crc32c_sse42;
+#else
+  (void)k;
+#endif
+  return crc32c_table;
+}
+
+Crc32cKernel resolve_default() {
+  if (!cpu::force_scalar() && supported(Crc32cKernel::Sse42)) {
+    return Crc32cKernel::Sse42;
+  }
+  return Crc32cKernel::Table;
+}
+
+CrcFn active_fn() {
+  static const CrcFn fn = kernel_fn(resolve_default());
+  return fn;
+}
+
+}  // namespace
+
+const char* crc32c_kernel_name(Crc32cKernel k) {
+  return k == Crc32cKernel::Sse42 ? "sse42" : "table";
+}
+
+std::vector<Crc32cKernel> crc32c_supported_kernels() {
+  std::vector<Crc32cKernel> out{Crc32cKernel::Table};
+  if (supported(Crc32cKernel::Sse42)) out.push_back(Crc32cKernel::Sse42);
+  return out;
+}
+
+Crc32cKernel crc32c_active_kernel() { return resolve_default(); }
+
+std::uint32_t crc32c(ByteView data, std::uint32_t init) {
+  return ~active_fn()(data.data(), data.size(), ~init);
+}
+
+std::uint32_t crc32c_with(Crc32cKernel k, ByteView data, std::uint32_t init) {
+  return ~kernel_fn(k)(data.data(), data.size(), ~init);
 }
 
 }  // namespace dl::storage

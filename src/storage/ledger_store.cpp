@@ -387,54 +387,61 @@ LedgerStore::Stats LedgerStore::stats() const {
 }
 
 std::pair<std::uint64_t, std::uint64_t> LedgerStore::stage_locked(
-    ByteView payload) {
-  Bytes rec(kRecordHeader + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32c(payload);
+    ByteView head, ByteView body) {
+  const std::size_t payload_size = head.size() + body.size();
+  const std::size_t rec_size = kRecordHeader + payload_size;
+  const auto len = static_cast<std::uint32_t>(payload_size);
+  const std::uint32_t crc = crc32c(body, crc32c(head));
+  std::uint8_t header[kRecordHeader];
   for (int i = 0; i < 4; ++i) {
-    rec[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(len >> (8 * i));
-    rec[static_cast<std::size_t>(4 + i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
+    header[i] = static_cast<std::uint8_t>(len >> (8 * i));
+    header[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
   }
-  std::memcpy(rec.data() + kRecordHeader, payload.data(), payload.size());
 
   // Roll between records only, so any record fits in "its" segment even
   // when it alone exceeds segment_bytes.
-  if (tail_size_ > 0 && tail_size_ + rec.size() > opt_.segment_bytes) {
+  if (tail_size_ > 0 && tail_size_ + rec_size > opt_.segment_bytes) {
     ++tail_seq_;
     tail_size_ = 0;
   }
   const std::uint64_t segment = tail_seq_;
   const std::uint64_t offset = tail_size_;
-  tail_size_ += rec.size();
+  tail_size_ += rec_size;
 
   ++stats_.appended_records;
-  stats_.appended_bytes += rec.size();
+  stats_.appended_bytes += rec_size;
 
-  if (!staged_.empty() && staged_.back().segment == segment &&
-      staged_.back().offset + staged_.back().data.size() == offset) {
-    append(staged_.back().data, rec);
-  } else {
-    staged_.push_back(StagedRange{segment, offset, std::move(rec)});
+  if (staged_.empty() || staged_.back().segment != segment ||
+      staged_.back().offset + staged_.back().data.size() != offset) {
+    staged_.push_back(StagedRange{segment, offset, {}});
+    staged_.back().data.reserve(rec_size);
   }
+  Bytes& dst = staged_.back().data;
+  append(dst, ByteView(header, kRecordHeader));
+  append(dst, head);
+  append(dst, body);
   return {segment, offset + kRecordHeader};
 }
 
-void LedgerStore::append_block(const BlockRecord& rec) {
+void LedgerStore::append_block(std::uint64_t at_epoch,
+                               std::uint64_t block_epoch,
+                               std::uint32_t proposer, bool bad_uploader,
+                               ByteView content) {
+  // The payload's fixed fields; the content follows as Writer::bytes would
+  // write it (u32 length, then the bytes), without staging a copy first.
   Writer w;
   w.u8(kRecBlock);
-  w.u64(rec.at_epoch);
-  w.u64(rec.block_epoch);
-  w.u32(rec.proposer);
-  w.u8(rec.bad_uploader ? 0x1 : 0x0);
-  w.bytes(rec.content);
+  w.u64(at_epoch);
+  w.u64(block_epoch);
+  w.u32(proposer);
+  w.u8(bad_uploader ? 0x1 : 0x0);
+  w.u32(static_cast<std::uint32_t>(content.size()));
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto [segment, payload_off] = stage_locked(w.data());
+  auto [segment, payload_off] = stage_locked(w.data(), content);
   pending_.push_back(IndexedBlock{
-      rec.at_epoch, rec.block_epoch, rec.proposer, rec.bad_uploader, segment,
-      payload_off, static_cast<std::uint32_t>(w.data().size())});
+      at_epoch, block_epoch, proposer, bad_uploader, segment, payload_off,
+      static_cast<std::uint32_t>(w.data().size() + content.size())});
 }
 
 void LedgerStore::append_epoch_done(std::uint64_t epoch) {

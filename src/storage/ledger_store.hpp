@@ -138,7 +138,14 @@ class LedgerStore {
   void set_drain_histogram(obs::Histogram* h) { drain_hist_ = h; }
 
   // --- append path (any thread; encode + stage only, no I/O) ---------------
-  void append_block(const BlockRecord& rec);
+  // The block's bytes are copied once, straight into the staging buffer.
+  void append_block(std::uint64_t at_epoch, std::uint64_t block_epoch,
+                    std::uint32_t proposer, bool bad_uploader,
+                    ByteView content);
+  void append_block(const BlockRecord& rec) {
+    append_block(rec.at_epoch, rec.block_epoch, rec.proposer,
+                 rec.bad_uploader, rec.content);
+  }
   // Closes delivery of `epoch`; must be the current frontier (a mismatch is
   // ignored — the caller's delivery loop is strictly sequential).
   void append_epoch_done(std::uint64_t epoch);
@@ -188,10 +195,11 @@ class LedgerStore {
   // into the committed index and advances frontier_. Requires mu_.
   void commit_epoch_locked(std::uint64_t epoch);
 
-  // Encodes [len][crc][payload] into staged_, assigning the record its
-  // segment + offset (rolling the tail segment when full). Requires mu_.
-  // Returns {segment, payload offset}.
-  std::pair<std::uint64_t, std::uint64_t> stage_locked(ByteView payload);
+  // Encodes [len][crc][payload] into staged_, where payload = head || body,
+  // assigning the record its segment + offset (rolling the tail segment
+  // when full). Requires mu_. Returns {segment, payload offset}.
+  std::pair<std::uint64_t, std::uint64_t> stage_locked(ByteView head,
+                                                       ByteView body = {});
   int segment_fd_io(std::uint64_t seq);       // requires io_mu_
   void drain_io(bool force_fsync);            // requires io_mu_
   void drain_io_inner(bool force_fsync);      // drain_io minus the timing

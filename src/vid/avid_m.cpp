@@ -52,17 +52,18 @@ AvidMServer::AvidMServer(Params p, int self)
   }
 }
 
-void AvidMServer::handle_chunk(const ChunkMsg& m, Outbox& out) {
+void AvidMServer::handle_chunk(ChunkMsg m, Outbox& out) {
   if (my_chunk_.has_value()) return;  // first valid Chunk wins
   if (m.proof.index != static_cast<std::uint32_t>(self_) ||
       m.proof.leaf_count != static_cast<std::uint32_t>(p_.n)) {
     return;
   }
   if (!merkle_verify(m.root, m.chunk, m.proof)) return;
-  my_chunk_ = m;
+  my_chunk_ = std::move(m);
   if (!sent_got_chunk_) {
     sent_got_chunk_ = true;
-    out.push_back(broadcast(MsgKind::VidGotChunk, RootMsg{m.root}.encode()));
+    out.push_back(
+        broadcast(MsgKind::VidGotChunk, RootMsg{my_chunk_->root}.encode()));
   }
   // If dispersal already completed with our root, late requesters can now
   // be served.
@@ -134,7 +135,7 @@ bool AvidMServer::handle(int from, MsgKind kind, ByteView body, Outbox& out) {
     case MsgKind::VidChunk: {
       ChunkMsg m;
       if (!ChunkMsg::decode(body, m)) return false;
-      handle_chunk(m, out);
+      handle_chunk(std::move(m), out);
       return true;
     }
     case MsgKind::VidGotChunk: {
@@ -176,8 +177,18 @@ DecodeResult avid_m_run_decode(const DecodeJob& job) {
     return out;
   }
   // The AVID-M check: re-encode and compare Merkle roots (Fig. 4, steps 2-4).
+  // The byte compare is what makes reusing a verified leaf hash sound: a
+  // decoded-from chunk that re-encodes differently (a non-canonical stripe)
+  // gets the hash of its re-encoding, like every chunk nobody sent us.
   const std::vector<Bytes> reencoded = rs.encode(*block);
-  if (merkle_root(reencoded) == job.root) {
+  std::vector<Hash> leaves(reencoded.size());
+  for (std::size_t i = 0; i < reencoded.size(); ++i) {
+    const bool verified = i < job.slots.size() && i < job.leaves.size() &&
+                          !job.slots[i].empty() &&
+                          job.slots[i] == reencoded[i];
+    leaves[i] = verified ? job.leaves[i] : merkle_leaf_hash(reencoded[i]);
+  }
+  if (merkle_root_from_leaf_hashes(std::move(leaves)) == job.root) {
     out.block = std::move(*block);
   } else {
     out.bad_uploader = true;
@@ -186,20 +197,23 @@ DecodeResult avid_m_run_decode(const DecodeJob& job) {
   return out;
 }
 
-bool AvidMRetriever::offer_chunk(int from, const ReturnChunkMsg& m) {
-  if (done_ || decoding_ || from < 0 || from >= p_.n ||
-      seen_[static_cast<std::size_t>(from)]) {
-    return false;
-  }
+bool AvidMRetriever::accepting(int from) const {
+  return !done_ && !decoding_ && from >= 0 && from < p_.n &&
+         !seen_[static_cast<std::size_t>(from)];
+}
+
+bool AvidMRetriever::offer_chunk(int from, const ChunkView& m) {
+  if (!accepting(from)) return false;
   if (m.proof.index != static_cast<std::uint32_t>(from) ||
       m.proof.leaf_count != static_cast<std::uint32_t>(p_.n)) {
     return false;
   }
-  if (!merkle_verify(m.root, m.chunk, m.proof)) return false;
+  Hash leaf = merkle_leaf_hash(m.chunk);
+  if (!merkle_verify_path(m.root, leaf, m.proof)) return false;
   seen_[static_cast<std::size_t>(from)] = true;
 
   auto& per_root = chunks_[m.root];
-  per_root.emplace(from, m.chunk);
+  per_root.emplace(from, Held{Bytes(m.chunk.begin(), m.chunk.end()), leaf});
   if (static_cast<int>(per_root.size()) < p_.data_shards()) return false;
 
   // Enough chunks share this root: freeze and decode (possibly off-loop).
@@ -208,15 +222,18 @@ bool AvidMRetriever::offer_chunk(int from, const ReturnChunkMsg& m) {
   return true;
 }
 
-DecodeJob AvidMRetriever::make_decode_job() const {
+DecodeJob AvidMRetriever::take_decode_job() {
   DecodeJob job;
   job.p = p_;
   job.root = chunk_root_;
   job.slots.resize(static_cast<std::size_t>(p_.n));
-  const auto& per_root = chunks_.at(chunk_root_);
-  for (const auto& [idx, chunk] : per_root) {
-    job.slots[static_cast<std::size_t>(idx)] = chunk;
+  job.leaves.resize(static_cast<std::size_t>(p_.n));
+  for (auto& [idx, held] : chunks_.at(chunk_root_)) {
+    job.slots[static_cast<std::size_t>(idx)] = std::move(held.chunk);
+    job.leaves[static_cast<std::size_t>(idx)] = held.leaf;
   }
+  // Chunks under other roots can never be decoded from any more.
+  chunks_.clear();
   return job;
 }
 
@@ -227,8 +244,8 @@ void AvidMRetriever::complete(DecodeResult r) {
   result_ = std::move(r.block);
 }
 
-void AvidMRetriever::handle_return_chunk(int from, const ReturnChunkMsg& m) {
-  if (offer_chunk(from, m)) complete(avid_m_run_decode(make_decode_job()));
+void AvidMRetriever::handle_return_chunk(int from, const ChunkView& m) {
+  if (offer_chunk(from, m)) complete(avid_m_run_decode(take_decode_job()));
 }
 
 }  // namespace dl::vid

@@ -49,7 +49,9 @@ class AvidMServer {
 
   // Dispersal handlers (Fig. 3). `out` receives broadcasts/sends whose
   // envelope the caller completes with epoch/instance ids.
-  void handle_chunk(const ChunkMsg& m, Outbox& out);
+  // The first valid Chunk is kept by move: its bytes are copied once, when
+  // the message is parsed.
+  void handle_chunk(ChunkMsg m, Outbox& out);
   void handle_got_chunk(int from, const RootMsg& m, Outbox& out);
   void handle_ready(int from, const RootMsg& m, Outbox& out);
 
@@ -97,6 +99,9 @@ struct DecodeJob {
   Params p;
   Hash root;
   std::vector<Bytes> slots;  // indexed by server id; empty = missing
+  // leaves[i]: the Merkle leaf hash of slots[i], computed when that chunk's
+  // proof was verified (meaningful where slots[i] is non-empty).
+  std::vector<Hash> leaves;
 };
 
 struct DecodeResult {
@@ -105,7 +110,10 @@ struct DecodeResult {
 };
 
 // Decode from the collected chunks, then RE-ENCODE and check the Merkle
-// root — the AVID-M verification (Fig. 4, steps 2-4). Pure function.
+// root — the AVID-M verification (Fig. 4, steps 2-4). Pure function. A
+// re-encoded chunk byte-identical to a decoded-from one reuses that chunk's
+// verified leaf hash, so only the chunks the retriever did not receive are
+// hashed; the root compared is exactly merkle_root(re-encoding).
 DecodeResult avid_m_run_decode(const DecodeJob& job);
 
 class AvidMRetriever {
@@ -117,16 +125,22 @@ class AvidMRetriever {
 
   // Feeds one ReturnChunk; ignores invalid proofs and duplicate senders.
   // Decodes inline once N−2f chunks share a root (single-threaded path).
-  void handle_return_chunk(int from, const ReturnChunkMsg& m);
+  void handle_return_chunk(int from, const ChunkView& m);
+
+  // True while a chunk from `from` could still be taken: no decode started,
+  // not done, and nothing accepted from that sender yet. Costs no hashing,
+  // so a receiver drops late and duplicate chunks before parsing them.
+  bool accepting(int from) const;
 
   // Split pipeline for offloaded decoding:
-  //   offer_chunk()      — buffer a verified chunk; true once enough chunks
-  //                        share a root (the retriever then stops accepting
-  //                        chunks until complete()).
-  //   make_decode_job()  — value snapshot of the decode inputs.
+  //   offer_chunk()      — verify a chunk and keep a copy of it (the one
+  //                        copy); true once enough chunks share a root (the
+  //                        retriever then stops accepting chunks until
+  //                        complete()).
+  //   take_decode_job()  — hands the decode inputs over by move.
   //   complete()         — install the outcome; done() becomes true.
-  bool offer_chunk(int from, const ReturnChunkMsg& m);
-  DecodeJob make_decode_job() const;
+  bool offer_chunk(int from, const ChunkView& m);
+  DecodeJob take_decode_job();
   void complete(DecodeResult r);
 
   bool done() const { return done_; }
@@ -140,7 +154,11 @@ class AvidMRetriever {
  private:
   Params p_;
   int self_;
-  std::map<Hash, std::map<int, Bytes>> chunks_;  // root -> (server -> chunk)
+  struct Held {
+    Bytes chunk;
+    Hash leaf;  // merkle_leaf_hash(chunk), from the proof check
+  };
+  std::map<Hash, std::map<int, Held>> chunks_;  // root -> (server -> chunk)
   std::vector<bool> seen_;
   bool decoding_ = false;  // decode job handed out, outcome pending
   bool done_ = false;

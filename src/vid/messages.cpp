@@ -7,7 +7,7 @@ namespace dl::vid {
 namespace {
 
 bool read_hash(Reader& r, Hash& out) {
-  Bytes raw = r.raw(32);
+  const ByteView raw = r.raw_view(32);
   if (!r.ok()) return false;
   std::copy(raw.begin(), raw.end(), out.v.begin());
   return true;
@@ -16,20 +16,31 @@ bool read_hash(Reader& r, Hash& out) {
 }  // namespace
 
 Bytes ChunkMsg::encode() const {
+  const Bytes proof_raw = proof.encode();
   Writer w;
+  w.reserve(32 + 4 + chunk.size() + 4 + proof_raw.size());
   w.raw(root.view());
   w.bytes(chunk);
-  w.bytes(proof.encode());
+  w.bytes(proof_raw);
   return std::move(w).take();
 }
 
-bool ChunkMsg::decode(ByteView in, ChunkMsg& out) {
+bool ChunkView::decode(ByteView in, ChunkView& out) {
   Reader r(in);
   if (!read_hash(r, out.root)) return false;
-  out.chunk = r.bytes();
-  const Bytes proof_raw = r.bytes();
+  out.chunk = r.bytes_view();
+  const ByteView proof_raw = r.bytes_view();
   if (!r.done()) return false;
   return MerkleProof::decode(proof_raw, out.proof);
+}
+
+bool ChunkMsg::decode(ByteView in, ChunkMsg& out) {
+  ChunkView v;
+  if (!ChunkView::decode(in, v)) return false;
+  out.root = v.root;
+  out.chunk.assign(v.chunk.begin(), v.chunk.end());
+  out.proof = std::move(v.proof);
+  return true;
 }
 
 Bytes RootMsg::encode() const {

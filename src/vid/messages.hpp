@@ -23,6 +23,21 @@ struct ChunkMsg {
   static bool decode(ByteView in, ChunkMsg& out);
 };
 
+// A ChunkMsg whose chunk bytes stay in the buffer it was parsed from: the
+// receive path checks a chunk (and usually drops it) before copying it.
+// Valid only while that buffer is.
+struct ChunkView {
+  Hash root;
+  ByteView chunk;
+  MerkleProof proof;
+
+  ChunkView() = default;
+  // Views an owned message, which must outlive the view.
+  ChunkView(const ChunkMsg& m) : root(m.root), chunk(m.chunk), proof(m.proof) {}
+
+  static bool decode(ByteView in, ChunkView& out);
+};
+
 // GotChunk(r) and Ready(r) carry only the Merkle root.
 struct RootMsg {
   Hash root;

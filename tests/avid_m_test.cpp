@@ -251,6 +251,59 @@ TEST(AvidMByzantine, WrongIndexChunkRejected) {
   EXPECT_EQ(out[0].env.kind, MsgKind::VidGotChunk);
 }
 
+TEST(AvidMByzantine, NonCanonicalDecodedFromStripeYieldsBadUploader) {
+  // The re-encode check reuses the leaf hash of a received chunk only when
+  // the re-encoding reproduces that chunk byte for byte. Here the disperser
+  // commits to a data stripe with a nonzero pad byte: it still decodes to
+  // the block, but the canonical re-encoding differs from it — and only
+  // there, at an index the retriever received (the parity stays canonical).
+  const Params p{4, 1};                      // K = 2 data stripes
+  const Bytes block = random_bytes(101, 9);  // (101 + 4) odd: stripe 1 is padded
+  const ReedSolomon rs(p.data_shards(), p.n);
+  std::vector<Bytes> chunks = rs.encode(block);
+  chunks[1].back() ^= 0x5A;
+  ASSERT_EQ(rs.decode({chunks[0], chunks[1], {}, {}}), block);
+  const MerkleTree tree(chunks);
+  AvidMRetriever r(p, 0);
+  for (std::uint32_t i : {0u, 1u}) {
+    r.handle_return_chunk(static_cast<int>(i),
+                          ChunkMsg{tree.root(), chunks[i], tree.prove(i)});
+  }
+  ASSERT_TRUE(r.done());
+  EXPECT_TRUE(r.bad_uploader());
+  EXPECT_EQ(to_string(r.result()), kBadUploader);
+}
+
+TEST(AvidM, ChunksAfterDecodeStartedOrFromASeenSenderAreRejected) {
+  const Params p{4, 1};
+  const auto msgs = avid_m_disperse(p, random_bytes(500, 3));
+  AvidMRetriever r(p, 0);
+  EXPECT_FALSE(r.accepting(-1));
+  EXPECT_FALSE(r.accepting(p.n));
+  EXPECT_TRUE(r.accepting(0));
+  EXPECT_FALSE(r.offer_chunk(0, msgs[0]));
+  EXPECT_FALSE(r.accepting(0));  // sender already seen
+  EXPECT_FALSE(r.offer_chunk(0, msgs[0]));
+  EXPECT_TRUE(r.accepting(2));
+  EXPECT_TRUE(r.offer_chunk(1, msgs[1]));  // K chunks share a root: decode
+  EXPECT_FALSE(r.accepting(2));            // decode started
+  EXPECT_FALSE(r.offer_chunk(2, msgs[2]));
+
+  // The job carries exactly the accepted chunks, with their verified leaves.
+  const DecodeJob job = r.take_decode_job();
+  EXPECT_EQ(job.slots[0], msgs[0].chunk);
+  EXPECT_EQ(job.slots[1], msgs[1].chunk);
+  EXPECT_TRUE(job.slots[2].empty());
+  EXPECT_TRUE(job.slots[3].empty());
+  EXPECT_EQ(job.leaves[0], merkle_leaf_hash(msgs[0].chunk));
+  EXPECT_EQ(job.leaves[1], merkle_leaf_hash(msgs[1].chunk));
+  r.complete(avid_m_run_decode(job));
+  ASSERT_TRUE(r.done());
+  EXPECT_FALSE(r.bad_uploader());
+  EXPECT_FALSE(r.accepting(3));  // done
+  EXPECT_FALSE(r.offer_chunk(3, msgs[3]));
+}
+
 TEST(AvidMByzantine, MalformedBodiesIgnored) {
   const Params p{4, 1};
   AvidMServer server(p, 0);

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "adversary/adversary.hpp"
 #include "common/serial.hpp"
@@ -736,6 +737,75 @@ TEST(DlNodeStore, ReplicaDarkPastTheHorizonCatchesUpFromStores) {
   for (const DlNode* node : c.nodes) EXPECT_LE(node->live_epochs(), 16u);
 }
 
+TEST(DlNodeStore, JoinerPastTheHorizonUnderLoadDoesNotStallThePeers) {
+  // Nodes 0..2 persist and run a full backlog from t=0; node 3 joins with an
+  // empty store more than the retire horizon behind them, so coded catch-up
+  // is its only way back. A catch-up round that is still being served or
+  // installed must not be restarted by the probe: every restart makes each
+  // store-backed peer serve a whole window of Low-class history again, ahead
+  // of its live ReturnChunks, which starved the peers' own delivery. The
+  // peers keep delivering throughout and the joiner reaches their frontier.
+  const int n = 4, f = 1;
+  StoreDirs dirs;
+  std::vector<std::unique_ptr<storage::LedgerStore>> stores(4);
+  Cluster c(sim::NetworkConfig::uniform(n, 0.02, 2e6));
+  auto cfg_for = [&](int i) {
+    NodeConfig cfg = with_catch_up(NodeConfig::dispersed_ledger(n, f, i));
+    cfg.backlog_tx_bytes = 250;
+    cfg.max_block_bytes = 20'000;
+    return cfg;
+  };
+  for (int i = 0; i < 3; ++i) {
+    DlNode* node = c.add_node(cfg_for(i));
+    stores[static_cast<std::size_t>(i)] = open_store(dirs.node_dir(i));
+    ASSERT_NE(stores[static_cast<std::size_t>(i)], nullptr);
+    node->attach_store(stores[static_cast<std::size_t>(i)].get());
+  }
+  c.add_crashed(3);
+  const double join_at = 80.0;
+  std::uint64_t frontier_at_join = 0;
+  c.sim.queue().at(join_at, [&] {
+    frontier_at_join = c.nodes[0]->stats().delivered_epochs;
+    DlNode* node = c.add_node(cfg_for(3));
+    stores[3] = open_store(dirs.node_dir(3));
+    if (stores[3] == nullptr) return;
+    node->attach_store(stores[3].get());
+    c.envs.back()->start();  // mid-run attach: fire start() ourselves
+  });
+  // Each peer's progress over every 5 s stretch after the join.
+  std::vector<std::array<std::uint64_t, 3>> progress;
+  for (int k = 0; k <= 8; ++k) {
+    c.sim.queue().at(join_at + 5.0 * k, [&] {
+      std::array<std::uint64_t, 3> at{};
+      for (int i = 0; i < 3; ++i) {
+        at[static_cast<std::size_t>(i)] =
+            c.nodes[static_cast<std::size_t>(i)]->stats().delivered_epochs;
+      }
+      progress.push_back(at);
+    });
+  }
+  c.sim.run_until(join_at + 40.0);
+
+  ASSERT_GT(frontier_at_join, DlNode::kRetireHorizon);
+  ASSERT_EQ(progress.size(), 9u);
+  for (std::size_t k = 1; k < progress.size(); ++k) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_GT(progress[k][i], progress[k - 1][i] + 5)
+          << "node " << i << " stalled in stretch " << k;
+    }
+  }
+  DlNode* joiner = c.nodes[3];
+  ASSERT_NE(joiner, nullptr);
+  const NodeStats& js = joiner->stats();
+  EXPECT_GT(js.caught_up_epochs, frontier_at_join);
+  EXPECT_GE(js.delivered_epochs + 8, c.nodes[0]->stats().delivered_epochs);
+  // A handful of rounds covers the gap (the window is 64 epochs); the storm
+  // started one per probe tick.
+  EXPECT_LT(js.catch_up_rounds, 40u);
+  Cluster::expect_prefix_consistent(c.logs[0], c.logs[3]);
+  c.expect_all_logs_consistent();
+}
+
 // --- one delivery funnel: live, catch-up and replay commit alike -----------
 
 // A Byzantine disperser's Env: forwards everything to the node's SimEnv but
@@ -857,6 +927,91 @@ void expect_same_prefix(const CommitLog& a, const CommitLog& b,
   const std::size_t m = std::min(a.lines.size(), b.lines.size());
   for (std::size_t i = 0; i < m; ++i) {
     ASSERT_EQ(a.lines[i], b.lines[i]) << what << ": diverge at line " << i;
+  }
+}
+
+TEST(DlNodeStore, LedgerDigestIsTheDigestOfTheCanonicalEncoding) {
+  // ledger_digest() names sha256(decode_or_poison(content).encode()) for
+  // every committed block: valid blocks (whose content digest it reuses),
+  // a block without a V array, the literal sentinel bytes, bytes that do not
+  // decode, and an inconsistent chunk set (BAD_UPLOADER) — live, and again
+  // when the store is replayed.
+  const int n = 4, f = 1;
+  const std::uint64_t kEmptyV = 2, kSentinel = 3, kUndecodable = 4,
+                      kInconsistent = 5;
+  StoreDirs dirs;
+  struct Seen {
+    BlockKey key;
+    Hash digest;
+    Hash canonical;
+  };
+  auto recorder = [](std::vector<Seen>* seen, const DlNode* node) {
+    return [seen, node](std::uint64_t, BlockKey key, const Block& b, double) {
+      seen->push_back({key, node->ledger_digest(), sha256(b.encode())});
+    };
+  };
+  std::vector<Seen> live;
+  {
+    Cluster c(sim::NetworkConfig::uniform(n, 0.02, 2e6));
+    std::unique_ptr<storage::LedgerStore> store;
+    for (int i = 0; i < 3; ++i) {
+      DlNode* node = c.add_node(
+          with_small_blocks(NodeConfig::dispersed_ledger(n, f, i)));
+      if (i != 0) continue;
+      node->set_delivery_callback(recorder(&live, node));
+      store = open_store(dirs.node_dir(0));
+      ASSERT_NE(store, nullptr);
+      node->attach_store(store.get());
+    }
+    c.envs.push_back(std::make_unique<runtime::SimEnv>(c.sim, 3));
+    DispersalRewriter byz(*c.envs.back(), vid::Params{n, f});
+    Block empty_v;
+    empty_v.txs.push_back({1.5, 3, random_bytes(700, 0xE7)});
+    byz.replace(kEmptyV, empty_v.encode());
+    byz.replace(kSentinel, bytes_of(vid::kBadUploader));
+    byz.replace(kUndecodable, random_bytes(300, 0xD0D0));
+    byz.make_inconsistent(kInconsistent);
+    DlNode byz_node(with_small_blocks(NodeConfig::dispersed_ledger(n, f, 3)),
+                    byz);
+    c.envs.back()->attach(byz_node);
+    for (int i = 0; i < 3; ++i) {
+      for (int k = 0; k < 20; ++k) {
+        DlNode* node = c.nodes[static_cast<std::size_t>(i)];
+        c.sim.queue().at(0.05 * k, [node, i, k] {
+          node->submit(
+              random_bytes(2000, static_cast<std::uint64_t>(i * 1000 + k)));
+        });
+      }
+    }
+    c.sim.run_until(6.0);
+  }
+
+  std::set<std::uint64_t> byz_epochs;
+  std::size_t honest_with_txs = 0;
+  for (const Seen& s : live) {
+    EXPECT_EQ(s.digest, s.canonical)
+        << "block " << s.key.epoch << "/" << s.key.proposer;
+    if (s.key.proposer == 3) byz_epochs.insert(s.key.epoch);
+    if (s.key.proposer != 3) ++honest_with_txs;
+  }
+  for (std::uint64_t e : {kEmptyV, kSentinel, kUndecodable, kInconsistent}) {
+    EXPECT_TRUE(byz_epochs.contains(e)) << "epoch " << e << " not committed";
+  }
+  EXPECT_GT(honest_with_txs, 0u);
+
+  // Replay hands the visitor the same digests, in the same order.
+  auto store = open_store(dirs.node_dir(0));
+  ASSERT_NE(store, nullptr);
+  sim::Simulator sim2(sim::NetworkConfig::uniform(n, 0.02, 2e6));
+  runtime::SimEnv env2(sim2, 0);
+  DlNode node(with_small_blocks(NodeConfig::dispersed_ledger(n, f, 0)), env2);
+  std::vector<Seen> replayed;
+  node.attach_store(store.get(), recorder(&replayed, &node));
+  ASSERT_FALSE(replayed.empty());
+  ASSERT_LE(replayed.size(), live.size());
+  for (std::size_t i = 0; i < replayed.size(); ++i) {
+    EXPECT_EQ(replayed[i].key, live[i].key) << i;
+    EXPECT_EQ(replayed[i].digest, live[i].digest) << i;
   }
 }
 

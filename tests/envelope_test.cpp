@@ -63,6 +63,42 @@ TEST(Envelope, MalformedRejected) {
   EXPECT_FALSE(Envelope::decode(raw).has_value());
 }
 
+// The receive path parses frames as EnvelopeView; Envelope::decode is the
+// owning form. They accept exactly the same inputs and agree on every field,
+// and the view's body aliases the input rather than copying it.
+TEST(Envelope, ViewDecodeMatchesOwningDecode) {
+  Envelope e;
+  e.kind = MsgKind::VidReturnChunk;
+  e.epoch = 77;
+  e.instance = 3;
+  e.body = random_bytes(300, 5);
+  const Bytes valid = e.encode();
+  std::vector<Bytes> inputs{valid, {}, bytes_of("x")};
+  for (std::size_t cut = 0; cut < valid.size(); cut += 7) {
+    inputs.emplace_back(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(cut));
+  }
+  Bytes longer = valid;
+  longer.push_back(0);
+  inputs.push_back(longer);
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Bytes flipped = valid;
+    flipped[seed % Envelope::kHeaderBytes] ^= static_cast<std::uint8_t>(1u << (seed % 8));
+    inputs.push_back(flipped);
+  }
+  for (const Bytes& in : inputs) {
+    const auto owned = Envelope::decode(in);
+    const auto view = EnvelopeView::decode(in);
+    ASSERT_EQ(owned.has_value(), view.has_value()) << in.size();
+    if (!view.has_value()) continue;
+    EXPECT_EQ(view->kind, owned->kind);
+    EXPECT_EQ(view->epoch, owned->epoch);
+    EXPECT_EQ(view->instance, owned->instance);
+    EXPECT_TRUE(equal(view->body, owned->body));
+    EXPECT_EQ(view->body.data(),
+              in.data() + Envelope::kHeaderBytes);  // aliases, no copy
+  }
+}
+
 }  // namespace
 }  // namespace dl
 
@@ -112,13 +148,33 @@ TEST(RetrievalManager, CompletesAfterKChunks) {
   EXPECT_EQ(rm.feed_chunk(1, key, make_chunk(p, block, 1)),
             RetrievalManager::Feed::kReady);
   // The decode runs wherever the caller wants; install the outcome.
-  EXPECT_TRUE(rm.finish_decode(key, vid::avid_m_run_decode(rm.decode_job(key))));
+  EXPECT_TRUE(rm.finish_decode(key, vid::avid_m_run_decode(rm.take_decode_job(key))));
   EXPECT_TRUE(rm.has(key));
   EXPECT_EQ(rm.get(key), block);
   EXPECT_EQ(rm.completed_retrievals(), 1u);
   // Late chunks are ignored (retrieval gone from the active set).
   EXPECT_EQ(rm.feed_chunk(2, key, make_chunk(p, block, 2)),
             RetrievalManager::Feed::kNotReady);
+}
+
+TEST(RetrievalManager, AcceptingOnlyWhileTheRetrievalWouldTakeTheChunk) {
+  const vid::Params p{4, 1};
+  const Bytes block = random_bytes(500, 2);
+  RetrievalManager rm(p, 0);
+  const BlockKey key{0, 1};
+  EXPECT_FALSE(rm.accepting(0, key));  // never requested
+  Outbox out;
+  rm.ensure_started(key, out);
+  EXPECT_TRUE(rm.accepting(0, key));
+  rm.feed_chunk(0, key, make_chunk(p, block, 0));
+  EXPECT_FALSE(rm.accepting(0, key));  // duplicate sender
+  EXPECT_TRUE(rm.accepting(2, key));
+  ASSERT_EQ(rm.feed_chunk(1, key, make_chunk(p, block, 1)),
+            RetrievalManager::Feed::kReady);
+  EXPECT_FALSE(rm.accepting(2, key));  // decoding
+  EXPECT_TRUE(rm.finish_decode(key, vid::avid_m_run_decode(rm.take_decode_job(key))));
+  EXPECT_FALSE(rm.accepting(2, key));  // done
+  EXPECT_EQ(rm.get(key), block);
 }
 
 TEST(RetrievalManager, ChunksForUnknownKeyIgnored) {

@@ -29,6 +29,8 @@ namespace {
 // Feeds `input` to every decoder; success criterion is simply "no crash".
 void feed_all(ByteView input) {
   { auto v = Envelope::decode(input); (void)v; }
+  { auto v = EnvelopeView::decode(input); (void)v; }
+  { vid::ChunkView m; (void)vid::ChunkView::decode(input, m); }
   { vid::ChunkMsg m; (void)vid::ChunkMsg::decode(input, m); }
   { vid::RootMsg m; (void)vid::RootMsg::decode(input, m); }
   { vid::FpChunkMsg m; (void)vid::FpChunkMsg::decode(input, m); }
@@ -38,6 +40,7 @@ void feed_all(ByteView input) {
   { ba::BaRoundMsg m; (void)ba::BaRoundMsg::decode(input, m); }
   { ba::BaDoneMsg m; (void)ba::BaDoneMsg::decode(input, m); }
   { auto b = core::Block::decode(input, 16); (void)b; }
+  { auto v = core::Block::read_v_array(input, 16); (void)v; }
   { auto c = app::Command::decode(input); (void)c; }
   { net::WireFrame wf; (void)net::decode_wire(input, wf); }
   { core::CatchUpRequestMsg m; (void)core::CatchUpRequestMsg::decode(input, m); }
@@ -120,6 +123,66 @@ TEST(FuzzDecode, BitFlippedValidMessages) {
       feed_all(mutated);
     }
   }
+}
+
+// The linking pass reads committed blocks with the V-array reader instead of
+// a full decode; it must accept exactly what decode accepts and return the
+// same observations, on valid, truncated, bit-flipped and empty-V blocks
+// alike — and so must the poison rule built on each.
+TEST(FuzzDecode, VArrayReaderMatchesFullDecode) {
+  const int n = 4;
+  auto check = [&](ByteView in) {
+    const auto full = core::Block::decode(in, n);
+    const auto v = core::Block::read_v_array(in, n);
+    ASSERT_EQ(full.has_value(), v.has_value()) << in.size();
+    if (full.has_value()) {
+      EXPECT_EQ(full->v_array, *v);
+    }
+    EXPECT_EQ(core::observation_or_poison(in, n),
+              core::decode_or_poison(in, n).v_array);
+  };
+  std::vector<Bytes> blocks;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    core::Block b;
+    if (seed % 2 == 0) {
+      for (int j = 0; j < n; ++j) b.v_array.push_back(seed * 10 + static_cast<std::uint64_t>(j));
+    }
+    for (std::uint64_t t = 0; t < seed; ++t) {
+      core::Transaction tx;
+      tx.submit_time = 0.5 * static_cast<double>(t);
+      tx.origin = static_cast<std::uint32_t>(t % n);
+      tx.payload = random_bytes(static_cast<std::size_t>(t * 13), seed * 100 + t);
+      b.txs.push_back(std::move(tx));
+    }
+    blocks.push_back(b.encode());
+  }
+  blocks.push_back(bytes_of(vid::kBadUploader));
+  blocks.push_back({});
+  for (const Bytes& valid : blocks) {
+    check(valid);
+    for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+      check(ByteView(valid.data(), cut));
+    }
+    Bytes longer = valid;
+    longer.push_back(0x5A);
+    check(longer);
+    for (std::uint64_t seed = 0; seed < 64 && !valid.empty(); ++seed) {
+      Bytes m = valid;
+      Rng rng(seed);
+      m[static_cast<std::size_t>(rng.next_below(m.size()))] ^=
+          static_cast<std::uint8_t>(1u << rng.next_below(8));
+      check(m);
+    }
+  }
+  // A valid block with a full V array re-encodes verbatim; one with an empty
+  // V array, and every rejected input, does not.
+  bool verbatim = false;
+  (void)core::decode_or_poison(blocks[0], n, &verbatim);
+  EXPECT_TRUE(verbatim);
+  (void)core::decode_or_poison(blocks[1], n, &verbatim);
+  EXPECT_FALSE(verbatim);
+  (void)core::decode_or_poison(bytes_of(vid::kBadUploader), n, &verbatim);
+  EXPECT_FALSE(verbatim);
 }
 
 TEST(FuzzDecode, AllTruncations) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "storage/crc32c.hpp"
 #include "storage/ledger_store.hpp"
 
@@ -72,6 +73,35 @@ TEST(Crc32c, KnownVectorsAndChaining) {
   const auto whole = crc32c(ByteView(all));
   const auto head = crc32c(ByteView(all.data(), 7));
   EXPECT_EQ(crc32c(ByteView(all.data() + 7, all.size() - 7), head), whole);
+}
+
+// Every kernel computes the same checksum as the table, for every length
+// up to 4096 at every start offset mod 8 (so the hardware kernel's 8-byte
+// words start misaligned) and with a nonzero chained seed. The default
+// dispatch is checked the same way: CI reruns the suite under
+// DL_FORCE_SCALAR=1, which must pin it to the table.
+TEST(Crc32c, EveryKernelMatchesTheTableAtUnalignedOffsets) {
+  const Bytes buf = random_bytes(4096 + 16, 0xC3C3);
+  if (cpu::force_scalar()) {
+    EXPECT_EQ(crc32c_active_kernel(), Crc32cKernel::Table);
+  }
+  const std::vector<Crc32cKernel> kernels = crc32c_supported_kernels();
+  ASSERT_EQ(kernels.front(), Crc32cKernel::Table);
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const ByteView in(buf.data() + off, len);
+      const std::uint32_t seed = static_cast<std::uint32_t>(len * 2654435761u);
+      const std::uint32_t want = crc32c_with(Crc32cKernel::Table, in);
+      const std::uint32_t want_seeded = crc32c_with(Crc32cKernel::Table, in, seed);
+      for (const Crc32cKernel k : kernels) {
+        ASSERT_EQ(crc32c_with(k, in), want)
+            << crc32c_kernel_name(k) << " len " << len << " off " << off;
+        ASSERT_EQ(crc32c_with(k, in, seed), want_seeded)
+            << crc32c_kernel_name(k) << " len " << len << " off " << off;
+      }
+      ASSERT_EQ(crc32c(in), want) << "default, len " << len << " off " << off;
+    }
+  }
 }
 
 TEST(FsyncPolicyFlag, ParseAndPrint) {
